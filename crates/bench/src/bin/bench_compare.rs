@@ -1,5 +1,7 @@
 //! Diffs two `BENCH_tune.json` baselines: per-app old-over-new speedup of
-//! the serial and parallel tuning searches, with a geomean footer.
+//! the serial and parallel tuning searches, with a geomean footer. Two
+//! `BENCH_interp.json` baselines diff the scalar and warp executors in the
+//! same columns.
 //!
 //! ```text
 //! cargo run -p respec-bench --bin bench_compare -- OLD.json NEW.json

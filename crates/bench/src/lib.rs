@@ -1191,7 +1191,10 @@ fn parse_baseline(content: &str) -> Result<(EngineRows, CpuSeconds), String> {
         }
         let obj = Json::parse(line).map_err(|e| format!("line {}: {e}", ln + 1))?;
         let figure = obj.get("figure").and_then(Json::as_str);
-        if figure != Some("tune_throughput") && figure != Some("cpu_tune") {
+        if !matches!(
+            figure,
+            Some("tune_throughput" | "interp_throughput" | "cpu_tune")
+        ) {
             continue;
         }
         let field = |key: &str| {
@@ -1213,6 +1216,10 @@ fn parse_baseline(content: &str) -> Result<(EngineRows, CpuSeconds), String> {
                 Some((_, total)) => *total += seconds,
                 None => cpu.push((app, seconds)),
             }
+        } else if figure == Some("interp_throughput") {
+            // `BENCH_interp.json`: the scalar and the warp executor take the
+            // serial and parallel columns.
+            rows.push((app, field("scalar_s")?, field("warp_s")?));
         } else {
             rows.push((app, field("serial_s")?, field("parallel_s")?));
         }
@@ -1221,9 +1228,11 @@ fn parse_baseline(content: &str) -> Result<(EngineRows, CpuSeconds), String> {
 }
 
 /// Diffs two baselines: per-app old-over-new speedup of the serial and
-/// parallel searches (`BENCH_tune.json` rows) and of the CPU retargeting
-/// winners (`cpu_tune` rows, `BENCH_cpu.json`), for apps present in both
-/// files. Either row family alone is enough to produce deltas.
+/// parallel searches (`BENCH_tune.json` rows) — or, in the same two
+/// columns, of the scalar and warp executors (`BENCH_interp.json` rows) —
+/// and of the CPU retargeting winners (`cpu_tune` rows, `BENCH_cpu.json`),
+/// for apps present in both files. Either row family alone is enough to
+/// produce deltas.
 pub fn bench_compare(old: &str, new: &str) -> Result<Vec<BenchDelta>, String> {
     let (old_rows, old_cpu) = parse_baseline(old)?;
     let (new_rows, new_cpu) = parse_baseline(new)?;
@@ -1290,6 +1299,7 @@ pub fn print_bench_compare(deltas: &[BenchDelta]) {
         None => "-".into(),
     };
     println!("== bench_compare: old vs new baselines (speedup > 1 = new is faster) ==");
+    println!("   (ser/par: serial/parallel search, or scalar/warp executor for BENCH_interp.json)");
     println!(
         "{:<16} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10}",
         "app",
@@ -2046,6 +2056,14 @@ mod tests {
         assert!((deltas[0].parallel_speedup() - 2.0).abs() < 1e-12);
         assert_eq!(deltas[1].app, "nw");
         assert!((deltas[1].serial_speedup() - 0.5).abs() < 1e-12);
+        // Executor baselines diff scalar and warp seconds in the same columns.
+        let old =
+            "{\"figure\":\"interp_throughput\",\"app\":\"lud\",\"scalar_s\":2.0,\"warp_s\":1.0}\n";
+        let new =
+            "{\"figure\":\"interp_throughput\",\"app\":\"lud\",\"scalar_s\":2.0,\"warp_s\":0.5}\n";
+        let deltas = bench_compare(old, new).unwrap();
+        assert!((deltas[0].serial_speedup() - 1.0).abs() < 1e-12);
+        assert!((deltas[0].parallel_speedup() - 2.0).abs() < 1e-12);
         // Malformed input is an error, not a panic.
         assert!(bench_compare("not json", new).is_err());
         assert!(bench_compare(old, "").is_err());

@@ -6,11 +6,12 @@
 //! execution counters, and the tuning engine must pick the same winner at
 //! the same simulated time regardless of which backend measured it.
 
-use respec::opt::coarsen_function;
+use respec::opt::{coarsen_function, lower_module_to_cpu, CpuLoweringParams};
+use respec::sim::{TargetDesc, TargetModel};
 use respec::{targets, tune_kernel_pooled, CoarsenConfig, ExecMode, GpuSim, Strategy};
 use respec::{Trace, TuneOptions};
 use respec_bench::{compiled_module, Pipeline};
-use respec_rodinia::{all_apps_sized, Workload};
+use respec_rodinia::{all_apps_sized, all_apps_with_gemm, Workload};
 
 /// Coarsening shapes spanning the rewrite space: identity, thread-only,
 /// block-only, and combined.
@@ -24,47 +25,113 @@ fn shapes() -> Vec<CoarsenConfig> {
         .collect()
 }
 
+/// One machine of the differential: its simulator description, the shapes
+/// it runs, and the SIMD width to lower the module for (CPU targets only).
+struct Machine {
+    desc: TargetDesc,
+    shapes: Vec<CoarsenConfig>,
+    cpu_lanes: Option<i64>,
+}
+
+/// a100 (32 lanes) over every shape; mi210 (64 lanes) and the CPU-lowered
+/// module on cpu-server64 (16 lanes) over the identity and `[2,2]` shapes.
+fn machines() -> Vec<Machine> {
+    let ends = || {
+        let all = shapes();
+        vec![all[0], all[3]]
+    };
+    let cpu = targets::cpu_server64();
+    vec![
+        Machine {
+            desc: targets::a100(),
+            shapes: shapes(),
+            cpu_lanes: None,
+        },
+        Machine {
+            desc: targets::mi210(),
+            shapes: ends(),
+            cpu_lanes: None,
+        },
+        Machine {
+            desc: cpu.sim_desc(),
+            shapes: ends(),
+            cpu_lanes: Some(i64::from(cpu.exec_width())),
+        },
+    ]
+}
+
 #[test]
 fn scalar_and_vectorized_runs_are_bit_identical() {
-    let target = targets::a100();
-    for app in all_apps_sized(Workload::Small) {
-        let base = compiled_module(app.as_ref(), Pipeline::PolygeistNoOpt);
-        let name = app.main_kernel().to_string();
-        for cfg in shapes() {
-            let mut module = base.clone();
-            let mut func = module.function(&name).expect("main kernel").clone();
-            if coarsen_function(&mut func, cfg).is_err() {
-                continue; // shape illegal for this kernel — nothing to compare
-            }
-            module.add_function(func);
-            let run = |mode: ExecMode| {
-                let mut sim = GpuSim::new(target.clone());
-                sim.set_exec_mode(mode);
-                app.run(&mut sim, &module).expect("app runs");
-                sim
-            };
-            let scalar = run(ExecMode::Scalar);
-            let warp = run(ExecMode::WarpVectorized);
-            let ctx = format!("{} {:?}", app.name(), cfg);
-            assert_eq!(
-                scalar.launch_log.len(),
-                warp.launch_log.len(),
-                "launch count diverged: {ctx}"
-            );
-            for (s, w) in scalar.launch_log.iter().zip(&warp.launch_log) {
-                assert_eq!(s.kernel, w.kernel, "launch order diverged: {ctx}");
+    for machine in machines() {
+        for app in all_apps_sized(Workload::Small) {
+            let base = compiled_module(app.as_ref(), Pipeline::PolygeistNoOpt);
+            let name = app.main_kernel().to_string();
+            for &cfg in &machine.shapes {
+                let mut module = base.clone();
+                let mut func = module.function(&name).expect("main kernel").clone();
+                if coarsen_function(&mut func, cfg).is_err() {
+                    continue; // shape illegal for this kernel — nothing to compare
+                }
+                module.add_function(func);
+                if let Some(lanes) = machine.cpu_lanes {
+                    module = lower_module_to_cpu(&module, &CpuLoweringParams { lanes });
+                }
+                let run = |mode: ExecMode| {
+                    let mut sim = GpuSim::new(machine.desc.clone());
+                    sim.set_exec_mode(mode);
+                    app.run(&mut sim, &module).expect("app runs");
+                    sim
+                };
+                let scalar = run(ExecMode::Scalar);
+                let warp = run(ExecMode::WarpVectorized);
+                let ctx = format!("{} {:?} on {}", app.name(), cfg, machine.desc.name);
                 assert_eq!(
-                    s.seconds.to_bits(),
-                    w.seconds.to_bits(),
-                    "timing estimate diverged on {}: {ctx}",
-                    s.kernel
+                    scalar.launch_log.len(),
+                    warp.launch_log.len(),
+                    "launch count diverged: {ctx}"
                 );
-                assert_eq!(s.stats, w.stats, "counters diverged on {}: {ctx}", s.kernel);
+                for (s, w) in scalar.launch_log.iter().zip(&warp.launch_log) {
+                    assert_eq!(s.kernel, w.kernel, "launch order diverged: {ctx}");
+                    assert_eq!(
+                        s.seconds.to_bits(),
+                        w.seconds.to_bits(),
+                        "timing estimate diverged on {}: {ctx}",
+                        s.kernel
+                    );
+                    assert_eq!(s.stats, w.stats, "counters diverged on {}: {ctx}", s.kernel);
+                }
+                assert_eq!(
+                    scalar.elapsed_seconds.to_bits(),
+                    warp.elapsed_seconds.to_bits(),
+                    "composite time diverged: {ctx}"
+                );
             }
+        }
+    }
+}
+
+/// The traffic finding behind the lane-mask executor, pinned: every
+/// divergence the 16 Small apps produce is at a maskable `if`/`for`, so no
+/// warp falls back to scalar interpreters. A kernel that falls off the fast
+/// path shows up here.
+#[test]
+fn no_small_app_despools_a_warp() {
+    let cpu = targets::cpu_server64();
+    let lanes = i64::from(cpu.exec_width());
+    for app in all_apps_with_gemm(Workload::Small) {
+        let module = compiled_module(app.as_ref(), Pipeline::PolygeistNoOpt);
+        let lowered = lower_module_to_cpu(&module, &CpuLoweringParams { lanes });
+        for (desc, module) in [(targets::a100(), &module), (cpu.sim_desc(), &lowered)] {
+            let mut sim = GpuSim::new(desc);
+            app.run(&mut sim, module).expect("app runs");
+            let exec = sim.exec_counters();
+            assert!(exec.warp_phases > 0, "{}: {exec:?}", app.name());
             assert_eq!(
-                scalar.elapsed_seconds.to_bits(),
-                warp.elapsed_seconds.to_bits(),
-                "composite time diverged: {ctx}"
+                exec.despooled_warps,
+                0,
+                "{} on {}: {exec:?}",
+                app.name(),
+                sim.target.name
             );
         }
     }

@@ -69,31 +69,48 @@ impl Cache {
 /// Splits a warp's lane accesses into the distinct 32-byte sectors they
 /// touch — the number of memory transactions after coalescing (§II-A2).
 pub fn coalesce_sectors(addrs: &[(u64, u8)]) -> Vec<u64> {
-    let mut sectors: Vec<u64> = addrs
-        .iter()
-        .flat_map(|&(addr, bytes)| {
-            let first = addr / 32;
-            let last = (addr + bytes as u64 - 1) / 32;
-            first..=last
-        })
-        .collect();
+    let mut sectors = Vec::new();
+    coalesce_sectors_into(addrs, &mut sectors);
+    sectors
+}
+
+/// [`coalesce_sectors`] into a caller-owned buffer (overwritten): the
+/// distinct sector base addresses in ascending order.
+pub(crate) fn coalesce_sectors_into(addrs: &[(u64, u8)], sectors: &mut Vec<u64>) {
+    sectors.clear();
+    for &(addr, bytes) in addrs {
+        let first = addr / 32;
+        let last = (addr + bytes as u64 - 1) / 32;
+        sectors.extend((first..=last).map(|s| s * 32));
+    }
     sectors.sort_unstable();
     sectors.dedup();
-    sectors.iter().map(|s| s * 32).collect()
 }
 
 /// Computes the serialization factor of a shared-memory warp access: the
 /// maximum number of *distinct words* mapped to any one bank (accesses to
 /// the same word broadcast).
 pub fn bank_conflict_factor(addrs: &[(u64, u8)], banks: u32) -> u32 {
-    let mut words: Vec<u64> = addrs.iter().map(|&(a, _)| a / 4).collect();
+    bank_conflict_factor_with(addrs, banks, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`bank_conflict_factor`] over caller-owned scratch (both overwritten).
+pub(crate) fn bank_conflict_factor_with(
+    addrs: &[(u64, u8)],
+    banks: u32,
+    words: &mut Vec<u64>,
+    per_bank: &mut Vec<u32>,
+) -> u32 {
+    words.clear();
+    words.extend(addrs.iter().map(|&(a, _)| a / 4));
     words.sort_unstable();
     words.dedup();
-    let mut per_bank = vec![0u32; banks as usize];
-    for w in words {
+    per_bank.clear();
+    per_bank.resize(banks as usize, 0);
+    for &w in words.iter() {
         per_bank[(w % banks as u64) as usize] += 1;
     }
-    per_bank.into_iter().max().unwrap_or(0).max(1)
+    per_bank.iter().copied().max().unwrap_or(0).max(1)
 }
 
 #[cfg(test)]

@@ -142,6 +142,13 @@ pub(crate) struct DecodedProgram {
     /// contains an `Alloc` (warps over such regions start in scalar mode —
     /// allocation order must match per-lane execution).
     pub(crate) region_has_alloc: Vec<bool>,
+    /// Per op: an `if`/`for` whose region subtree holds no barrier, alloc,
+    /// `while`, `return`, nested `parallel` or `call`. A warp that diverges
+    /// at a maskable op runs its arms (or its remaining iterations) under a
+    /// lane mask and reconverges at the op's end; at any other op it
+    /// despools. Every ancestor of a non-maskable op is itself non-maskable,
+    /// so a despool only ever happens at full mask.
+    pub(crate) maskable: Vec<bool>,
 }
 
 impl DecodedProgram {
@@ -149,46 +156,69 @@ impl DecodedProgram {
         let steps = (0..func.num_ops())
             .map(|i| decode_op(func, respec_ir::OpId::from_index(i)))
             .collect();
+        let flags = region_flags(func);
+        let maskable = (0..func.num_ops())
+            .map(|i| {
+                let op = func.op(respec_ir::OpId::from_index(i));
+                matches!(op.kind, OpKind::If | OpKind::For)
+                    && op
+                        .regions
+                        .iter()
+                        .all(|r| flags.get(r.index()).is_some_and(|&f| f == 0))
+            })
+            .collect();
         DecodedProgram {
             steps,
-            region_has_alloc: region_alloc_flags(func),
+            region_has_alloc: flags.iter().map(|&f| f & HAS_ALLOC != 0).collect(),
+            maskable,
         }
     }
 }
 
-fn region_alloc_flags(func: &Function) -> Vec<bool> {
-    let n = func.num_regions();
-    // 0 = unvisited, 1 = visited/false (also breaks malformed cycles),
-    // 2 = visited/true.
-    let mut memo = vec![0u8; n];
-    for r in 0..n {
-        dfs_alloc(func, r, &mut memo);
+/// Region flag: the subtree holds an `Alloc`.
+const HAS_ALLOC: u8 = 1;
+/// Region flag: the subtree holds a barrier, `while`, `return`, nested
+/// `parallel` or `call` — control the lane mask cannot carry.
+const HAS_UNMASKABLE: u8 = 2;
+/// Memo marker: the region has been visited (also breaks malformed cycles).
+const VISITED: u8 = 4;
+
+/// Per region: `HAS_ALLOC | HAS_UNMASKABLE` over the region and everything
+/// transitively nested in it.
+fn region_flags(func: &Function) -> Vec<u8> {
+    let mut memo = vec![0u8; func.num_regions()];
+    for r in 0..memo.len() {
+        dfs_flags(func, r, &mut memo);
     }
-    memo.iter().map(|&m| m == 2).collect()
+    memo.iter().map(|&m| m & !VISITED).collect()
 }
 
-fn dfs_alloc(func: &Function, r: usize, memo: &mut [u8]) -> bool {
-    if memo[r] != 0 {
-        return memo[r] == 2;
+fn dfs_flags(func: &Function, r: usize, memo: &mut [u8]) -> u8 {
+    if memo[r] & VISITED != 0 {
+        return memo[r] & !VISITED;
     }
-    memo[r] = 1;
-    let mut has = false;
+    memo[r] = VISITED;
+    let mut flags = 0;
     let region = func.region(RegionId::from_index(r));
     for &op_id in &region.ops {
         let op = func.op(op_id);
-        if matches!(op.kind, OpKind::Alloc { .. }) {
-            has = true;
+        match op.kind {
+            OpKind::Alloc { .. } => flags |= HAS_ALLOC,
+            OpKind::Barrier { .. }
+            | OpKind::While
+            | OpKind::Return
+            | OpKind::Parallel { .. }
+            | OpKind::Call { .. } => flags |= HAS_UNMASKABLE,
+            _ => {}
         }
         for &sub in &op.regions {
-            if sub.index() < memo.len() && dfs_alloc(func, sub.index(), memo) {
-                has = true;
+            if sub.index() < memo.len() {
+                flags |= dfs_flags(func, sub.index(), memo);
             }
         }
     }
-    if has {
-        memo[r] = 2;
-    }
-    has
+    memo[r] |= flags;
+    flags
 }
 
 fn decode_op(func: &Function, id: respec_ir::OpId) -> DecodedOp {

@@ -92,9 +92,10 @@ impl Default for LaunchOptions {
 pub enum ExecMode {
     /// One scalar interpreter per thread (the reference mode).
     Scalar,
-    /// One lock-step machine per warp while control flow is uniform,
-    /// despooling each lane into a scalar interpreter on divergence (the
-    /// default).
+    /// One lock-step machine per warp (the default). A divergent `if`/`for`
+    /// with no barrier, alloc or `while` below it runs under a lane mask and
+    /// reconverges at its end; any other divergence despools each lane into
+    /// a scalar interpreter for the rest of the block.
     WarpVectorized,
 }
 
@@ -153,6 +154,28 @@ impl RaceRecord {
     }
 }
 
+/// How the executor ran a launch: host-side bookkeeping that lives outside
+/// [`ExecStats`] — and so outside caches, goldens and the determinism
+/// contract — because it describes the simulator, not the simulated machine.
+/// All zero in [`ExecMode::Scalar`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecCounters {
+    /// Lock-step warp phases run (one warp up to its next barrier or end).
+    pub warp_phases: u64,
+    /// Divergent `if`/`for` ops executed under a lane mask.
+    pub masked_branches: u64,
+    /// Warps that fell back to per-lane scalar interpreters.
+    pub despooled_warps: u64,
+}
+
+impl ExecCounters {
+    fn accumulate(&mut self, other: &ExecCounters) {
+        self.warp_phases += other.warp_phases;
+        self.masked_branches += other.masked_branches;
+        self.despooled_warps += other.despooled_warps;
+    }
+}
+
 /// Result of one simulated kernel launch.
 #[derive(Clone, Debug)]
 pub struct LaunchReport {
@@ -170,6 +193,8 @@ pub struct LaunchReport {
     pub blocks: u64,
     /// Races the shared-memory sanitizer observed (empty when disabled).
     pub races: Vec<RaceRecord>,
+    /// Executor counters of this launch.
+    pub exec: ExecCounters,
 }
 
 /// A simulated GPU: device memory, cache hierarchy, a target description and
@@ -189,6 +214,7 @@ pub struct GpuSim {
     /// measurement scope (§VII-A).
     pub launch_log: Vec<KernelTiming>,
     total_stats: ExecStats,
+    total_exec: ExecCounters,
     trace: Trace,
     sanitize_shared: bool,
     races: Vec<RaceRecord>,
@@ -230,6 +256,7 @@ impl GpuSim {
             elapsed_seconds: 0.0,
             launch_log: Vec::new(),
             total_stats: ExecStats::default(),
+            total_exec: ExecCounters::default(),
             trace: Trace::disabled(),
             sanitize_shared: false,
             races: Vec::new(),
@@ -299,6 +326,11 @@ impl GpuSim {
     /// Aggregate execution counters over every launch so far.
     pub fn total_stats(&self) -> &ExecStats {
         &self.total_stats
+    }
+
+    /// Executor counters summed over every launch so far.
+    pub fn exec_counters(&self) -> ExecCounters {
+        self.total_exec
     }
 
     /// Total kernel time of all launches of `name` (the paper's *kernel*
@@ -436,6 +468,7 @@ impl GpuSim {
                 warp_pool: Vec::new(),
                 merger: WarpMerger::new(func),
                 program: Arc::clone(&program),
+                exec: ExecCounters::default(),
             },
             block_interp: Interp::with_program(func, program, func.body()),
         };
@@ -503,8 +536,10 @@ impl GpuSim {
                 _ => {}
             }
         }
+        let exec = scratch.threads.exec;
         self.elapsed_seconds += seconds + LAUNCH_OVERHEAD_S;
         self.total_stats.accumulate(&stats);
+        self.total_exec.accumulate(&exec);
         self.launch_log.push(KernelTiming {
             kernel: func.name().to_string(),
             seconds,
@@ -557,6 +592,9 @@ impl GpuSim {
             span.record("cycles:total", total_timing.total_cycles);
             span.record("bound_by", total_timing.bound_by());
             span.record("kernel_seconds", seconds);
+            span.record("warp_phases", exec.warp_phases);
+            span.record("masked_branches", exec.masked_branches);
+            span.record("despooled_warps", exec.despooled_warps);
             if opts.sanitize_shared {
                 let n = sanitizer.as_ref().map_or(0, |s| s.races.len());
                 span.record("sanitizer_races", n as u64);
@@ -572,6 +610,7 @@ impl GpuSim {
             occupancy: occ,
             blocks: total_blocks,
             races,
+            exec,
         })
     }
 
@@ -584,7 +623,7 @@ impl GpuSim {
         sanitizer: &mut Option<Sanitizer>,
         scratch: &mut LaunchScratch<'f>,
     ) -> Result<Segment, SimError> {
-        let op = func.op(par_op).clone();
+        let op = func.op(par_op);
         let block_region = op.regions[0];
         let rank = op.operands.len();
         let mut extents = [1i64; 3];
@@ -601,7 +640,7 @@ impl GpuSim {
             ..ExecStats::default()
         };
 
-        let block_args = func.region(block_region).args.clone();
+        let block_args = &func.region(block_region).args;
 
         let mut shared_bytes_seen = 0u64;
         let mut threads_per_block_seen = 0u32;
@@ -657,7 +696,6 @@ impl GpuSim {
                     // Account shared memory of this block for occupancy.
                     let bytes: u64 = shared_allocs
                         .iter()
-                        .filter(|&&b| true_shared(&self.mem, b))
                         .map(|&b| self.mem.len(b) as u64 * self.mem.elem_type(b).size_bytes())
                         .sum();
                     shared_bytes_seen = shared_bytes_seen.max(bytes);
@@ -697,9 +735,9 @@ impl GpuSim {
         stats: &mut ExecStats,
         sanitizer: &mut Option<Sanitizer>,
     ) -> Result<u32, SimError> {
-        let op = func.op(thread_op).clone();
+        let op = func.op(thread_op);
         let region = op.regions[0];
-        let args = func.region(region).args.clone();
+        let args = &func.region(region).args;
         let rank = op.operands.len();
         let mut extents = [1i64; 3];
         for (d, ub) in op.operands.iter().enumerate() {
@@ -720,7 +758,7 @@ impl GpuSim {
 
         // Regions that allocate must run per-lane from the start so buffer
         // ids are handed out in scalar order; everything else starts in
-        // lock-step and despools only on observed divergence.
+        // lock-step and despools only on divergence a lane mask cannot carry.
         let vectorize = self.exec_mode == ExecMode::WarpVectorized
             && !scratch.program.region_has_alloc[region.index()];
 
@@ -768,7 +806,7 @@ impl GpuSim {
             }
         }
         // Warps that have despooled to per-lane scalar execution (vectorized
-        // runs only; divergence is permanent for the rest of the launch).
+        // runs only; a despool lasts for the rest of the block).
         let mut despooled = vec![!vectorize; warps];
 
         // Phase loop: run every thread to its next barrier (or completion),
@@ -796,10 +834,12 @@ impl GpuSim {
                                 mem: &mut self.mem,
                                 parents: &[block_store, host_store],
                                 counters: &mut scratch.counter_pool[lo..hi],
+                                masked_branches: &mut scratch.exec.masked_branches,
                             };
                             scratch.warp_pool[w].run_phase(&mut cx)?
                         };
                         any_progress = true;
+                        scratch.exec.warp_phases += 1;
                         match phase {
                             WarpPhase::Done => {}
                             WarpPhase::Barrier => all_done = false,
@@ -820,6 +860,7 @@ impl GpuSim {
                                         .despool_into(lane, &mut scratch.pool[lo + lane]);
                                 }
                                 *despooled_w = true;
+                                scratch.exec.despooled_warps += 1;
                                 for t in lo..hi {
                                     let ev = {
                                         let mut cx = StepCx {
@@ -883,11 +924,9 @@ impl GpuSim {
                 // Merge this warp's phase (unconditionally, exactly like the
                 // per-thread reference loop, which also re-merges the stale
                 // final-phase counters of warps that finished early).
-                let counters: Vec<&ThreadCounters> =
-                    (lo..hi).map(|t| &scratch.counter_pool[t]).collect();
                 scratch.merger.merge_warp_phase(
                     &self.target,
-                    &counters,
+                    &scratch.counter_pool[lo..hi],
                     &mut self.l1[sm_id],
                     &mut self.l2,
                     stats,
@@ -910,14 +949,6 @@ impl GpuSim {
         }
         self.l2.flush();
     }
-}
-
-fn true_shared(mem: &DeviceMemory, _b: BufferId) -> bool {
-    // All recorded block-scope allocations count toward shared memory except
-    // thread-local scratch; local arrays are recorded only in thread scopes,
-    // which do not pass `record_allocs`. (Kept as a hook for finer policies.)
-    let _ = mem;
-    true
 }
 
 fn lookup(first: &Store, rest: &[&Store], v: Value) -> Result<RtVal, SimError> {
@@ -952,6 +983,8 @@ struct ThreadScratch<'f> {
     warp_pool: Vec<WarpInterp<'f>>,
     /// Warp statistics merger (per-op instruction classes precomputed once).
     merger: WarpMerger,
+    /// Executor counters of this launch.
+    exec: ExecCounters,
 }
 
 /// Per-launch interpreter scratch: allocated once in

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use respec_ir::{Function, MemSpace, OpId};
 
-use crate::cache::{bank_conflict_factor, coalesce_sectors, Cache};
+use crate::cache::{bank_conflict_factor_with, coalesce_sectors_into, Cache};
 use crate::interp::{classify, InstClass, ThreadCounters};
 use crate::target::TargetDesc;
 
@@ -154,6 +154,72 @@ struct AccessGroup {
     lanes: Vec<(u64, u8)>,
 }
 
+/// Scratch of one warp access's accounting: coalesced sectors, distinct
+/// shared words and per-bank word counts.
+#[derive(Clone, Debug, Default)]
+struct AccessScratch {
+    sectors: Vec<u64>,
+    words: Vec<u64>,
+    per_bank: Vec<u32>,
+}
+
+impl AccessScratch {
+    /// Accounts one warp-level access: bank-conflict analysis for shared
+    /// memory, coalescing plus the L1/L2 hierarchy for everything else.
+    #[allow(clippy::too_many_arguments)]
+    fn account_access(
+        &mut self,
+        target: &TargetDesc,
+        lanes: &[(u64, u8)],
+        is_store: bool,
+        is_shared: bool,
+        l1: &mut Cache,
+        l2: &mut Cache,
+        stats: &mut ExecStats,
+    ) {
+        if is_shared {
+            let factor = bank_conflict_factor_with(
+                lanes,
+                target.shared_banks,
+                &mut self.words,
+                &mut self.per_bank,
+            ) as u64;
+            if is_store {
+                stats.shared_write_requests += 1;
+            } else {
+                stats.shared_read_requests += 1;
+            }
+            stats.shared_conflict_extra += factor - 1;
+            return;
+        }
+        coalesce_sectors_into(lanes, &mut self.sectors);
+        if is_store {
+            stats.global_store_requests += 1;
+            stats.write_sectors += self.sectors.len() as u64;
+            for &s in &self.sectors {
+                // Write-through L1 with write-allocate.
+                l1.access(s);
+                if !l2.access(s) {
+                    stats.dram_write_sectors += 1;
+                }
+                stats.l1_to_l2_write_sectors += 1;
+            }
+        } else {
+            stats.global_load_requests += 1;
+            stats.read_sectors += self.sectors.len() as u64;
+            for &s in &self.sectors {
+                if l1.access(s) {
+                    stats.l1_read_hits += 1;
+                } else if l2.access(s) {
+                    stats.l2_read_hits += 1;
+                } else {
+                    stats.dram_read_sectors += 1;
+                }
+            }
+        }
+    }
+}
+
 /// Reusable warp-phase merger: owns the scratch structures so the per-phase
 /// merge allocates nothing in steady state.
 #[derive(Clone, Debug)]
@@ -165,6 +231,7 @@ pub struct WarpMerger {
     group_index: HashMap<u64, u32, IntHasherBuilder>,
     groups: Vec<AccessGroup>,
     group_count: usize,
+    access: AccessScratch,
 }
 
 impl WarpMerger {
@@ -181,6 +248,7 @@ impl WarpMerger {
             group_index: HashMap::with_hasher(IntHasherBuilder),
             groups: Vec::new(),
             group_count: 0,
+            access: AccessScratch::default(),
         }
     }
 
@@ -194,7 +262,7 @@ impl WarpMerger {
     pub fn merge_warp_phase(
         &mut self,
         target: &TargetDesc,
-        threads: &[&ThreadCounters],
+        threads: &[ThreadCounters],
         l1: &mut Cache,
         l2: &mut Cache,
         stats: &mut ExecStats,
@@ -241,43 +309,15 @@ impl WarpMerger {
             }
         }
         for g in &self.groups[..self.group_count] {
-            let is_store = g.space_store & 1 != 0;
-            let is_shared = g.space_store & 2 != 0;
-            if is_shared {
-                let factor = bank_conflict_factor(&g.lanes, target.shared_banks) as u64;
-                if is_store {
-                    stats.shared_write_requests += 1;
-                } else {
-                    stats.shared_read_requests += 1;
-                }
-                stats.shared_conflict_extra += factor - 1;
-            } else {
-                let sectors = coalesce_sectors(&g.lanes);
-                if is_store {
-                    stats.global_store_requests += 1;
-                    stats.write_sectors += sectors.len() as u64;
-                    for s in sectors {
-                        // Write-through L1 with write-allocate.
-                        l1.access(s);
-                        if !l2.access(s) {
-                            stats.dram_write_sectors += 1;
-                        }
-                        stats.l1_to_l2_write_sectors += 1;
-                    }
-                } else {
-                    stats.global_load_requests += 1;
-                    stats.read_sectors += sectors.len() as u64;
-                    for s in sectors {
-                        if l1.access(s) {
-                            stats.l1_read_hits += 1;
-                        } else if l2.access(s) {
-                            stats.l2_read_hits += 1;
-                        } else {
-                            stats.dram_read_sectors += 1;
-                        }
-                    }
-                }
-            }
+            self.access.account_access(
+                target,
+                &g.lanes,
+                g.space_store & 1 != 0,
+                g.space_store & 2 != 0,
+                l1,
+                l2,
+                stats,
+            );
         }
     }
 }
@@ -287,7 +327,7 @@ impl WarpMerger {
 pub fn merge_warp_phase(
     func: &Function,
     target: &TargetDesc,
-    threads: &[&ThreadCounters],
+    threads: &[ThreadCounters],
     l1: &mut Cache,
     l2: &mut Cache,
     stats: &mut ExecStats,
@@ -306,45 +346,15 @@ pub fn replay_access(
     l2: &mut Cache,
     stats: &mut ExecStats,
 ) {
-    let mut counters = ThreadCounters::new(1);
-    let _ = &mut counters;
-    match space {
-        MemSpace::Shared => {
-            let factor = bank_conflict_factor(lanes, target.shared_banks) as u64;
-            if is_store {
-                stats.shared_write_requests += 1;
-            } else {
-                stats.shared_read_requests += 1;
-            }
-            stats.shared_conflict_extra += factor - 1;
-        }
-        _ => {
-            let sectors = coalesce_sectors(lanes);
-            if is_store {
-                stats.global_store_requests += 1;
-                stats.write_sectors += sectors.len() as u64;
-                for s in sectors {
-                    l1.access(s);
-                    if !l2.access(s) {
-                        stats.dram_write_sectors += 1;
-                    }
-                    stats.l1_to_l2_write_sectors += 1;
-                }
-            } else {
-                stats.global_load_requests += 1;
-                stats.read_sectors += sectors.len() as u64;
-                for s in sectors {
-                    if l1.access(s) {
-                        stats.l1_read_hits += 1;
-                    } else if l2.access(s) {
-                        stats.l2_read_hits += 1;
-                    } else {
-                        stats.dram_read_sectors += 1;
-                    }
-                }
-            }
-        }
-    }
+    AccessScratch::default().account_access(
+        target,
+        lanes,
+        is_store,
+        space == MemSpace::Shared,
+        l1,
+        l2,
+        stats,
+    );
 }
 
 #[cfg(test)]

@@ -39,8 +39,13 @@ const SAXPY: &str = "func @saxpy(%gx: index, %gy: index, %gz: index, %y: memref<
 /// Launches saxpy over `blocks` full blocks and returns how many `Interp`s
 /// were constructed for the launch.
 fn builds_for(blocks: i64, mode: ExecMode) -> u64 {
+    builds_for_n(blocks, (blocks * 256) as usize, mode)
+}
+
+/// [`builds_for`] with an explicit element count: when `n` is not a multiple
+/// of the block size, the warp straddling `n` diverges at the bounds guard.
+fn builds_for_n(blocks: i64, n: usize, mode: ExecMode) -> u64 {
     let func = respec_ir::parse_function(SAXPY).unwrap();
-    let n = (blocks * 256) as usize;
     let mut sim = GpuSim::new(targets::a100());
     sim.set_exec_mode(mode);
     let yb = sim.mem.alloc_f32(&vec![1.0; n]);
@@ -77,4 +82,10 @@ fn interpreter_builds_are_independent_of_block_count() {
     // all: only the host and block scopes are scalar.
     let warp = builds_for(16, ExecMode::WarpVectorized);
     assert_eq!(warp, 2, "uniform warps must not despool");
+
+    // A ragged problem size diverges at the bounds guard. The guard is a
+    // maskable `if`, so the straddling warp runs it under a lane mask: the
+    // build count does not grow with the thread count.
+    let ragged = builds_for_n(16, 16 * 256 - 100, ExecMode::WarpVectorized);
+    assert_eq!(ragged, 2, "a masked bounds guard must not despool");
 }
