@@ -73,9 +73,8 @@ pub use respec_sim::{
 };
 pub use respec_trace::{Trace, TraceSummary};
 pub use respec_tune::{
-    candidate_configs, tune_kernel, tune_kernel_pooled, tune_kernel_traced, DegradedReport,
-    PhaseTimings, RetryPolicy, Strategy, TuneErrorKind, TuneOptions, TuneResult, TuneStats,
-    DEFAULT_TOTALS,
+    candidate_configs, tune_kernel_pooled, DegradedReport, PhaseTimings, RetryPolicy, Strategy,
+    TuneErrorKind, TuneOptions, TuneResult, TuneStats, DEFAULT_TOTALS,
 };
 
 /// One-line import for the common facade workflow:
@@ -435,15 +434,13 @@ impl Compiled {
     }
 
     /// Autotunes one kernel over the candidate set described by `options`
-    /// (§VI TDO): the `run` closure measures one candidate; the winner
-    /// replaces the kernel in [`Compiled::module`].
-    ///
-    /// This is a thin serial wrapper over the pooled engine
-    /// ([`Compiled::autotune_pooled`]): the single `run` closure becomes the
-    /// one runner of a one-worker pool, so both entry points share the
-    /// whole decision path. `options.parallelism` is ignored — one `FnMut`
-    /// runner cannot be shared across workers; pass a runner *factory* to
-    /// `autotune_pooled` for parallel evaluation.
+    /// (§VI TDO) on the tuning engine's worker pool
+    /// ([`TuneOptions::effective_parallelism`] threads; `parallelism = 1`
+    /// runs inline on the calling thread): `make_runner` builds one private
+    /// measurement runner per worker, each runner call measures one
+    /// candidate, and the winner — identical at any worker count — replaces
+    /// the kernel in [`Compiled::module`]. The one-kernel case of
+    /// [`Compiled::autotune_all`].
     ///
     /// The search is **best-effort** when `options.fault_plan` is active or
     /// runs fail for real: faulted candidates are retried
@@ -451,34 +448,6 @@ impl Compiled {
     /// finally demoted, and a winner is still returned as long as *some*
     /// candidate survives — inspect [`TuneResult::degraded`] for what was
     /// lost. Only a search with no survivors errors ([`TuneErrorKind`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tuning failures.
-    pub fn autotune(
-        &mut self,
-        name: &str,
-        options: &TuneOptions,
-        run: impl FnMut(&Function, u32) -> Result<f64, respec_sim::SimError> + Send,
-    ) -> Result<TuneResult, Error> {
-        let serial = TuneOptions {
-            parallelism: 1,
-            ..options.clone()
-        };
-        let run = std::sync::Mutex::new(Some(run));
-        self.autotune_pooled(name, &serial, || {
-            run.lock()
-                .expect("runner lock")
-                .take()
-                .expect("the one-worker engine builds exactly one runner")
-        })
-    }
-
-    /// [`Compiled::autotune`] on the parallel tuning engine: candidates are
-    /// evaluated on a worker pool ([`TuneOptions::effective_parallelism`]
-    /// threads), with `make_runner` building one private measurement runner
-    /// per worker. The winner — identical at any worker count — replaces
-    /// the kernel in [`Compiled::module`].
     ///
     /// # Errors
     ///
@@ -493,19 +462,10 @@ impl Compiled {
         R: FnMut(&Function, u32) -> Result<f64, respec_sim::SimError>,
         F: Fn() -> R + Sync,
     {
-        let func = self.kernel(name).clone();
-        let configs = self.candidate_configs_for(&func, options.strategy, &options.totals)?;
-        let options = self.options_with_cache(options);
-        let result = tune_kernel_pooled(
-            &func,
-            self.target.as_ref(),
-            &configs,
-            &options,
-            make_runner,
-            &self.trace,
-        )?;
-        self.module.add_function(result.best.clone());
-        Ok(result)
+        let mut results = self.autotune_all(&[name], options, |_| make_runner())?;
+        Ok(results
+            .pop()
+            .expect("autotune_all returns one result per name"))
     }
 
     /// Autotunes several kernels concurrently: the worker budget is split
@@ -535,8 +495,14 @@ impl Compiled {
         }
         let workers = options.effective_parallelism();
         let outer = workers.min(jobs.len()).max(1);
-        let inner =
-            self.options_with_cache(&TuneOptions::with_parallelism((workers / outer).max(1)));
+        // The caller's options (fault plan, retry policy, explicit cache) with
+        // the inner share of the worker budget; this artifact's persistent
+        // cache is injected unless the caller already chose one.
+        let inner = TuneOptions {
+            parallelism: (workers / outer).max(1),
+            cache: options.cache.clone().or_else(|| self.cache.clone()),
+            ..options.clone()
+        };
         let target = self.target.as_ref();
         let trace = &self.trace;
         let results = respec_tune::pool::parallel_map(jobs.len(), outer, |i| {
@@ -551,16 +517,6 @@ impl Compiled {
             self.module.add_function(result.best.clone());
         }
         Ok(out)
-    }
-
-    /// `options` with this artifact's persistent cache injected, unless
-    /// the caller already chose one explicitly.
-    fn options_with_cache(&self, options: &TuneOptions) -> TuneOptions {
-        let mut options = options.clone();
-        if options.cache.is_none() {
-            options.cache = self.cache.clone();
-        }
-        options
     }
 
     /// Candidate set for a kernel's block shape under a strategy.
@@ -819,10 +775,8 @@ mod tests {
             )
             .unwrap();
         compiled
-            .autotune(
-                "axpy",
-                &TuneOptions::serial().totals(&[1, 2]),
-                |func, regs| {
+            .autotune_pooled("axpy", &TuneOptions::serial().totals(&[1, 2]), || {
+                |func: &Function, regs| {
                     let mut s = GpuSim::new(targets::a100());
                     let b = s.mem.alloc_f32(&vec![1.0; 512]);
                     let c = s.mem.alloc_f32(&vec![2.0; 512]);
@@ -838,8 +792,8 @@ mod tests {
                         regs,
                     )?
                     .kernel_seconds)
-                },
-            )
+                }
+            })
             .unwrap();
         let report = compiled.trace_report();
         assert!(
@@ -882,27 +836,7 @@ mod tests {
             .compile()
             .unwrap();
         let result = compiled
-            .autotune(
-                "axpy",
-                &TuneOptions::serial().totals(&[1, 2]),
-                |func, regs| {
-                    let mut sim = GpuSim::new(targets::a100());
-                    let y = sim.mem.alloc_f32(&vec![1.0; 1024]);
-                    let x = sim.mem.alloc_f32(&vec![2.0; 1024]);
-                    let report = sim.launch(
-                        func,
-                        [8, 1, 1],
-                        &[
-                            KernelArg::Buf(y),
-                            KernelArg::Buf(x),
-                            KernelArg::F32(1.0),
-                            KernelArg::I32(1024),
-                        ],
-                        regs,
-                    )?;
-                    Ok(report.kernel_seconds)
-                },
-            )
+            .autotune_pooled("axpy", &TuneOptions::serial().totals(&[1, 2]), axpy_runner)
             .unwrap();
         assert!(result.best_seconds > 0.0);
         // The module now holds the tuned version under the same name.
@@ -983,21 +917,13 @@ mod tests {
         };
         let mut cold = compile();
         let c = cold
-            .autotune(
-                "axpy",
-                &TuneOptions::serial().totals(&[1, 2]),
-                axpy_runner(),
-            )
+            .autotune_pooled("axpy", &TuneOptions::serial().totals(&[1, 2]), axpy_runner)
             .unwrap();
         assert_eq!(c.stats.persistent_hits, 0);
         assert!(c.stats.persistent_misses > 0, "cold run misses everything");
         let mut warm = compile();
         let w = warm
-            .autotune(
-                "axpy",
-                &TuneOptions::serial().totals(&[1, 2]),
-                axpy_runner(),
-            )
+            .autotune_pooled("axpy", &TuneOptions::serial().totals(&[1, 2]), axpy_runner)
             .unwrap();
         assert_eq!(w.stats.persistent_hits, 1, "the stored winner replays");
         assert_eq!(w.stats.runner_calls, 0, "replay never launches a runner");
@@ -1011,8 +937,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn autotune_all_tunes_every_kernel() {
+    fn compile_two_kernels() -> Compiled {
         let two = r#"
             __global__ void axpy(float* y, float* x, float a, int n) {
                 int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -1023,13 +948,18 @@ mod tests {
                 if (i < n) y[i] = x[i] * a;
             }
         "#;
-        let mut compiled = Compiler::new()
+        Compiler::new()
             .source(two)
             .kernel("axpy", [128, 1, 1])
             .kernel("scale", [128, 1, 1])
             .target(targets::a100())
             .compile()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn autotune_all_tunes_every_kernel() {
+        let mut compiled = compile_two_kernels();
         let results = compiled
             .autotune_all(
                 &["axpy", "scale"],
@@ -1045,6 +975,35 @@ mod tests {
                 compiled.module.function(name).unwrap().to_string(),
                 result.best.to_string()
             );
+        }
+    }
+
+    #[test]
+    fn autotune_all_honours_the_callers_fault_plan() {
+        // Launch traps only (no timing noise): every measurement that gets
+        // through is unperturbed, so a recovered search picks the clean
+        // winner — and the multi-kernel path must actually inject.
+        let names = ["axpy", "scale"];
+        let options = TuneOptions::with_parallelism(2).totals(&[1, 2, 4]);
+        let clean = compile_two_kernels()
+            .autotune_all(&names, &options, |_name| axpy_runner())
+            .unwrap();
+        let spec = FaultSpec {
+            launch_rate: 0.3,
+            ..FaultSpec::none()
+        };
+        let chaotic = options
+            .fault_plan(FaultPlan::new(7, spec))
+            .retry(RetryPolicy::default().with_max_retries(8));
+        let faulted = compile_two_kernels()
+            .autotune_all(&names, &chaotic, |_name| axpy_runner())
+            .unwrap();
+        for (c, f) in clean.iter().zip(&faulted) {
+            assert_eq!(c.stats.faults_injected, 0);
+            assert!(f.stats.faults_injected > 0, "the caller's plan must inject");
+            assert_eq!(f.best_config, c.best_config);
+            assert_eq!(f.best_seconds.to_bits(), c.best_seconds.to_bits());
+            assert_eq!(f.best.to_string(), c.best.to_string());
         }
     }
 }

@@ -63,14 +63,14 @@ pub const DYNAMIC: i64 = -1;
 
 /// A multi-dimensional memory buffer type with an address space.
 ///
-/// Shapes use row-major contiguous layout; a dimension of [`DYNAMIC`] is
+/// Shapes use row-major contiguous layout; a dimension of `DYNAMIC` (`-1`) is
 /// unknown at compile time (its extent is an SSA operand of the allocation,
 /// or implicit for function parameters).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MemRefType {
     /// Element type.
     pub elem: ScalarType,
-    /// Extent of each dimension; [`DYNAMIC`] for unknown extents.
+    /// Extent of each dimension; `DYNAMIC` (`-1`) for unknown extents.
     pub shape: Vec<i64>,
     /// GPU address space the buffer lives in.
     pub space: MemSpace,

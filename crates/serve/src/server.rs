@@ -7,11 +7,12 @@
 //!   thread.
 //! * Readers parse requests and serve the cheap operations inline
 //!   (`ping`, `stats`, `apps`, `compile`, `subscribe`); `tune` requests
-//!   go through the [`Scheduler`](crate::scheduler::Scheduler) and the
+//!   go through the [`Scheduler`] and the
 //!   reader blocks on its waiter channel until a worker answers.
 //! * A fixed pool of **worker** threads pops jobs (round-robin across
-//!   clients), runs the serial tune engine against the job's cache
-//!   shard, and fans the single outcome out to every coalesced waiter.
+//!   clients), runs the tune engine inline (`parallelism = 1`) against the
+//!   job's cache shard, and fans the single outcome out to every coalesced
+//!   waiter.
 //! * A **supervisor** thread sleeps until shutdown is requested, then
 //!   drains the scheduler, joins the workers (every accepted waiter's
 //!   outcome is now in its reader's channel), stops the accept loop,

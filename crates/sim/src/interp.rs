@@ -316,7 +316,7 @@ impl<'f> Interp<'f> {
     /// Creates an interpreter for `region` of `func`, decoding the function.
     /// Region arguments must be bound into [`Interp::store`] by the caller
     /// before stepping. Callers that drive many interpreters over one
-    /// function should decode once and share via [`Interp::with_program`].
+    /// function should decode once and share via `Interp::with_program`.
     pub fn new(func: &'f Function, region: RegionId) -> Interp<'f> {
         Interp::with_program(func, Arc::new(DecodedProgram::decode(func)), region)
     }

@@ -2,7 +2,7 @@
 //! lock-step execution around barriers, and statistics collection.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use respec_ir::{diag, Diagnostic, Function, MemSpace, OpId, Value};
 use respec_trace::Trace;
@@ -97,19 +97,6 @@ pub enum ExecMode {
     /// reconverges at its end; any other divergence despools each lane into
     /// a scalar interpreter for the rest of the block.
     WarpVectorized,
-}
-
-impl ExecMode {
-    /// Reads `RESPEC_SIM_EXEC` once per process: `scalar` selects
-    /// [`ExecMode::Scalar`]; `warp`, an unset variable, or any other value
-    /// (leniently) selects the default [`ExecMode::WarpVectorized`].
-    fn from_env() -> ExecMode {
-        static MODE: OnceLock<ExecMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("RESPEC_SIM_EXEC") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => ExecMode::Scalar,
-            _ => ExecMode::WarpVectorized,
-        })
-    }
 }
 
 /// A dynamic shared-memory race observed by the sanitizer: two distinct
@@ -236,7 +223,7 @@ pub struct KernelTiming {
 
 impl GpuSim {
     /// Creates a simulator for any target model, GPU or CPU: the model's
-    /// [`TargetModel::sim_desc`] projection supplies the machine description
+    /// [`crate::TargetModel::sim_desc`] projection supplies the machine description
     /// the decoded-op interpreter and timing model run against.
     pub fn for_model(model: &dyn crate::TargetModel) -> GpuSim {
         GpuSim::new(model.sim_desc())
@@ -262,21 +249,15 @@ impl GpuSim {
             races: Vec::new(),
             fault_plan: FaultPlan::disabled(),
             launch_seq: 0,
-            exec_mode: ExecMode::from_env(),
+            exec_mode: ExecMode::WarpVectorized,
         }
     }
 
     /// Selects scalar or warp-vectorized thread execution for subsequent
     /// launches. Both modes are bit-identical in results, statistics and
-    /// timing. Defaults to [`ExecMode::WarpVectorized`]; the process-wide
-    /// default can be overridden with `RESPEC_SIM_EXEC=scalar`.
+    /// timing. Defaults to [`ExecMode::WarpVectorized`].
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
-    }
-
-    /// The currently selected execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Installs a fault-injection plan for subsequent launches (including
@@ -1131,24 +1112,6 @@ impl Sanitizer {
             }
         }
     }
-}
-
-/// Convenience wrapper: allocates, launches once and returns the report.
-///
-/// # Errors
-///
-/// See [`GpuSim::launch`].
-pub fn launch_once(
-    target: TargetDesc,
-    func: &Function,
-    grid: [i64; 3],
-    setup: impl FnOnce(&mut DeviceMemory) -> Vec<KernelArg>,
-    regs_per_thread: u32,
-) -> Result<(GpuSim, LaunchReport), SimError> {
-    let mut sim = GpuSim::new(target);
-    let args = setup(&mut sim.mem);
-    let report = sim.launch(func, grid, &args, regs_per_thread)?;
-    Ok((sim, report))
 }
 
 // DeviceMemory scratch-arena support lives here to keep the memory module

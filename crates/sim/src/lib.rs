@@ -65,8 +65,8 @@ pub use interp::{
     INTERP_BUILDS,
 };
 pub use launch::{
-    launch_once, ExecCounters, ExecMode, GpuSim, KernelArg, KernelTiming, LaunchOptions,
-    LaunchReport, RaceRecord,
+    ExecCounters, ExecMode, GpuSim, KernelArg, KernelTiming, LaunchOptions, LaunchReport,
+    RaceRecord,
 };
 pub use memory::{BufferId, DeviceMemory};
 pub use occupancy::{occupancy, BlockResources, Infeasible, Limiter, Occupancy};

@@ -113,13 +113,6 @@ pub trait TargetModel: Send + Sync + fmt::Debug {
     /// against this descriptor unchanged for every target family.
     fn sim_desc(&self) -> TargetDesc;
 
-    /// Downcast to the concrete GPU descriptor, when this model is one.
-    /// GPU-only analyses (e.g. Table II resource breakdowns) use this to
-    /// keep their precise field access.
-    fn as_gpu(&self) -> Option<&TargetDesc> {
-        None
-    }
-
     /// Feature vector for nearest-neighbor target matching: execution
     /// width, parallel units, per-block scratch budget, and the two cache
     /// levels of the simulator projection, in that order. A fat binary's
@@ -312,10 +305,6 @@ impl TargetModel for TargetDesc {
 
     fn sim_desc(&self) -> TargetDesc {
         self.clone()
-    }
-
-    fn as_gpu(&self) -> Option<&TargetDesc> {
-        Some(self)
     }
 }
 
@@ -817,7 +806,6 @@ mod tests {
         assert_eq!(m.parallel_units(), 108);
         assert_eq!(m.fingerprint(), TargetDesc::fingerprint(&t));
         assert_eq!(m.sim_desc(), t);
-        assert_eq!(m.as_gpu(), Some(&t));
     }
 
     #[test]
@@ -831,7 +819,6 @@ mod tests {
         assert_eq!(s.parallel_units(), 64);
         assert!(d.clock_hz() > s.clock_hz(), "desktop clocks higher");
         assert!(s.dram_bw > d.dram_bw, "server has more bandwidth");
-        assert!(d.as_gpu().is_none());
     }
 
     #[test]

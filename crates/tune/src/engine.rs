@@ -1,4 +1,7 @@
-//! The two-phase tuning engine behind every `tune_kernel*` entry point.
+//! The two-phase tuning engine behind [`crate::tune_kernel_pooled`]: one
+//! driver ([`tune`]) at every worker count. With one worker the pool runs
+//! its jobs inline on the calling thread, so `parallelism = 1` is the same
+//! code with no thread spawned, not a second path.
 //!
 //! Phase 1 (*prepare*, parallel over configurations): clone the kernel,
 //! coarsen it (decision point 1 — legality), run the cleanup pipeline,
@@ -79,22 +82,12 @@ use crate::{
     TuneResult, TuneStats,
 };
 
-/// Fault schedule + retry policy, threaded through both drivers.
+/// Fault schedule + retry policy, threaded through the driver.
 pub(crate) struct Resilience {
     /// What to inject, where, and when.
     pub plan: FaultPlan,
     /// How hard to fight back.
     pub retry: RetryPolicy,
-}
-
-impl Resilience {
-    /// No injection, default retry policy — the plain tuning path.
-    pub fn disabled() -> Resilience {
-        Resilience {
-            plan: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
-        }
-    }
 }
 
 /// Tally of persistent-cache traffic over one search, folded into
@@ -269,7 +262,7 @@ impl<'a> PersistentCx<'a> {
         preps: &[Prep],
         trace: &Trace,
         counters: &mut PersistentCounters,
-    ) -> Vec<Option<CompiledInfo>> {
+    ) -> Vec<Option<StoredReport>> {
         plan.groups
             .iter()
             .map(|g| {
@@ -284,7 +277,6 @@ impl<'a> PersistentCx<'a> {
                     trace,
                     counters,
                 )
-                .map(CompiledInfo::from_stored)
             })
             .collect()
     }
@@ -348,22 +340,16 @@ impl<'a> PersistentCx<'a> {
             if was_preloaded[gi] {
                 continue;
             }
-            let Some(backend) = &eval.backend else {
+            let Some(report) = &eval.report else {
                 continue;
             };
             let p = match &preps[plan.groups[gi].rep] {
                 Prep::Ready(p) => p,
                 Prep::Pruned { .. } => unreachable!("groups are formed from survivors only"),
             };
-            let stored = StoredReport {
-                backend: backend.clone(),
-                worst_regs: eval.worst_regs,
-                spill_units: eval.spill_units,
-                launch_regs: eval.launch_regs,
-            };
             if let Err(e) =
                 self.cache
-                    .store_report(self.target_kind, p.ir_hash, self.target_fp, &stored)
+                    .store_report(self.target_kind, p.ir_hash, self.target_fp, report)
             {
                 trace.instant(
                     "cache",
@@ -617,8 +603,7 @@ impl ConfigDedup {
 }
 
 /// [`prepare`], with panics demoted to an `Illegal` prune so one broken
-/// transform never kills the search. Used identically by the serial and
-/// parallel drivers to keep them symmetric.
+/// transform never kills the search.
 pub(crate) fn prepare_caught(
     func: &Function,
     config: CoarsenConfig,
@@ -712,36 +697,15 @@ pub(crate) struct PhaseAcc {
     measure: f64,
 }
 
-/// Backend feedback shared by every member of a group (byte-identical IR).
-#[derive(Clone)]
-pub(crate) struct CompiledInfo {
-    /// The report of the launch that governed the spill decision (highest
-    /// spill count, then highest register demand).
-    backend: BackendReport,
-    worst_regs: u32,
-    spill_units: u32,
-    launch_regs: u32,
-}
-
-impl CompiledInfo {
-    fn from_stored(s: StoredReport) -> CompiledInfo {
-        CompiledInfo {
-            backend: s.backend,
-            worst_regs: s.worst_regs,
-            spill_units: s.spill_units,
-            launch_regs: s.launch_regs,
-        }
-    }
-}
-
 /// Phase-2 outcome for one group: backend feedback, the shared measurement
 /// (when some member produced one), the member that produced it, the
 /// members lost along the way, and the fault/retry tally.
+#[derive(Default)]
 pub(crate) struct GroupEval {
-    backend: Option<BackendReport>,
-    worst_regs: u32,
-    spill_units: u32,
-    launch_regs: u32,
+    /// Backend feedback shared by every member (byte-identical IR): compiled
+    /// this run or preloaded from the persistent cache; `None` when no
+    /// member's compile succeeded.
+    report: Option<StoredReport>,
     /// The shared measurement in seconds; `None` when the group was
     /// spill-pruned or every member was abandoned. Non-finite values are
     /// demoted in `finalize`.
@@ -796,7 +760,7 @@ fn attempt_once(
     res: &Resilience,
     trace: &Trace,
     run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    compiled: &mut Option<CompiledInfo>,
+    compiled: &mut Option<StoredReport>,
     tally: &mut FaultTally,
     clock: &mut f64,
     phase: &mut PhaseAcc,
@@ -839,7 +803,9 @@ fn attempt_once(
         span.record("reg_demand", worst_regs);
         span.record("spill_units", spill_units);
         phase.compile += compile_started.elapsed().as_secs_f64();
-        *compiled = Some(CompiledInfo {
+        *compiled = Some(StoredReport {
+            // The launch that governed the spill decision: highest spill
+            // count, then highest register demand.
             backend: governing
                 .map(|(_, _, r)| r)
                 .expect("kernels have at least one launch"),
@@ -941,7 +907,7 @@ fn evaluate_member(
     res: &Resilience,
     trace: &Trace,
     run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    compiled: &mut Option<CompiledInfo>,
+    compiled: &mut Option<StoredReport>,
     tally: &mut FaultTally,
     phase: &mut PhaseAcc,
 ) -> MemberOutcome {
@@ -1015,29 +981,21 @@ pub(crate) fn evaluate_group(
     res: &Resilience,
     trace: &Trace,
     run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    preloaded: Option<CompiledInfo>,
+    preloaded: Option<StoredReport>,
 ) -> GroupEval {
     let p = match &preps[group.rep] {
         Prep::Ready(p) => p,
         Prep::Pruned { .. } => unreachable!("groups are formed from survivors only"),
     };
+    // `report` is the compile cache and spans the whole group: members share
+    // byte-identical IR, so once any member's compile succeeded the result
+    // is reused by retries *and* re-elected members. A report preloaded from
+    // the persistent cache seeds it, and the group then never compiles at
+    // all.
     let mut eval = GroupEval {
-        backend: None,
-        worst_regs: 0,
-        spill_units: 0,
-        launch_regs: 0,
-        measured: None,
-        noisy: false,
-        elected: None,
-        failures: Vec::new(),
-        tally: FaultTally::default(),
-        phase: PhaseAcc::default(),
+        report: preloaded,
+        ..GroupEval::default()
     };
-    // The compile cache spans the whole group: members share byte-identical
-    // IR, so once any member's compile succeeded the result is reused by
-    // retries *and* re-elected members. A report preloaded from the
-    // persistent cache seeds it, and the group then never compiles at all.
-    let mut compiled: Option<CompiledInfo> = preloaded;
     for &m in &group.members {
         let outcome = evaluate_member(
             m,
@@ -1047,7 +1005,7 @@ pub(crate) fn evaluate_group(
             res,
             trace,
             run,
-            &mut compiled,
+            &mut eval.report,
             &mut eval.tally,
             &mut eval.phase,
         );
@@ -1063,18 +1021,12 @@ pub(crate) fn evaluate_group(
             }
         }
     }
-    if let Some(info) = compiled {
-        eval.backend = Some(info.backend);
-        eval.worst_regs = info.worst_regs;
-        eval.spill_units = info.spill_units;
-        eval.launch_regs = info.launch_regs;
-    }
     eval
 }
 
 /// [`evaluate_group`] with a final panic net: a panic outside the runner
 /// (an engine bug or a pathological trace sink) demotes the whole group
-/// instead of killing the tune, identically in serial and parallel mode.
+/// instead of killing the tune.
 pub(crate) fn evaluate_group_caught(
     group: &Group,
     preps: &[Prep],
@@ -1082,7 +1034,7 @@ pub(crate) fn evaluate_group_caught(
     res: &Resilience,
     trace: &Trace,
     run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    preloaded: Option<CompiledInfo>,
+    preloaded: Option<StoredReport>,
 ) -> GroupEval {
     catch_unwind(AssertUnwindSafe(|| {
         evaluate_group(group, preps, target, res, trace, run, preloaded)
@@ -1090,13 +1042,6 @@ pub(crate) fn evaluate_group_caught(
     .unwrap_or_else(|payload| {
         let msg = format!("evaluation panicked: {}", panic_message(payload));
         GroupEval {
-            backend: None,
-            worst_regs: 0,
-            spill_units: 0,
-            launch_regs: 0,
-            measured: None,
-            noisy: false,
-            elected: None,
             failures: group
                 .members
                 .iter()
@@ -1105,8 +1050,7 @@ pub(crate) fn evaluate_group_caught(
                     reason: PruneReason::RunFailed(msg.clone()),
                 })
                 .collect(),
-            tally: FaultTally::default(),
-            phase: PhaseAcc::default(),
+            ..GroupEval::default()
         }
     })
 }
@@ -1127,7 +1071,8 @@ pub(crate) fn finalize(
     tune_span.record("candidates", configs.len());
 
     let mut candidates = Vec::with_capacity(configs.len());
-    let mut best: Option<(usize, f64)> = None;
+    // Winner so far: candidate index, seconds, launch registers.
+    let mut best: Option<(usize, f64, u32)> = None;
 
     for (i, (&config, prep)) in configs.iter().zip(&preps).enumerate() {
         let mut candidate = Candidate {
@@ -1152,27 +1097,29 @@ pub(crate) fn finalize(
                 candidate.shared_bytes = p.shared_bytes;
                 let gi = plan.group_of[&i];
                 let eval = &evals[gi];
-                candidate.backend = eval.backend.clone();
+                let report = eval.report.as_ref();
+                candidate.backend = report.map(|r| r.backend.clone());
                 if let Some(failure) = eval.failures.iter().find(|f| f.member == i) {
                     // This member did its own (failed) evaluation work: it
                     // is demoted individually and shares nothing.
                     candidate.pruned = Some(failure.reason.clone());
                 } else {
                     candidate.cache_hit = eval.elected.is_some() && eval.elected != Some(i);
-                    if eval.spill_units > 0 && !config.is_identity() {
+                    let spilling = report.filter(|r| r.spill_units > 0 && !config.is_identity());
+                    if let Some(r) = spilling {
                         candidate.pruned = Some(PruneReason::Spill {
-                            regs: eval.worst_regs,
-                            spill_units: eval.spill_units,
+                            regs: r.worst_regs,
+                            spill_units: r.spill_units,
                         });
-                    } else if let Some(seconds) = eval.measured {
-                        launch_regs = Some(eval.launch_regs);
+                    } else if let (Some(seconds), Some(r)) = (eval.measured, report) {
+                        launch_regs = Some(r.launch_regs);
                         if seconds.is_finite() {
                             candidate.seconds = Some(seconds);
                             candidate.noisy = eval.noisy;
                             // Strictly-smaller wins; ties keep the earliest
                             // candidate, so selection is order-independent.
-                            if best.is_none_or(|(_, t)| seconds < t) {
-                                best = Some((i, seconds));
+                            if best.is_none_or(|(_, t, _)| seconds < t) {
+                                best = Some((i, seconds, r.launch_regs));
                             }
                         } else {
                             // NaN/±inf timings must never become (or shadow)
@@ -1231,7 +1178,7 @@ pub(crate) fn finalize(
         abandoned: tally.abandoned,
         noise_faults: tally.noise,
         parallelism,
-        // Persistent-cache traffic is accounted by the drivers, which own
+        // Persistent-cache traffic is accounted by the driver, which owns
         // the counters; a cache-less search reports zeros.
         ..TuneStats::default()
     };
@@ -1247,10 +1194,9 @@ pub(crate) fn finalize(
     }
 
     match best {
-        Some((wi, best_seconds)) => {
+        Some((wi, best_seconds, best_regs)) => {
             let best_config = configs[wi];
             let gi = plan.group_of[&wi];
-            let best_regs = evals[gi].launch_regs;
             let best_func = match &preps[plan.groups[gi].rep] {
                 Prep::Ready(p) => p.version.clone(),
                 Prep::Pruned { .. } => unreachable!("winner survived phase 1"),
@@ -1311,88 +1257,6 @@ pub(crate) fn finalize(
     }
 }
 
-/// Serial driver: one runner, everything on the calling thread.
-pub(crate) fn tune_serial(
-    func: &Function,
-    target: &dyn TargetModel,
-    configs: &[CoarsenConfig],
-    run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    trace: &Trace,
-    res: &Resilience,
-    cache: Option<&TuningCache>,
-) -> Result<TuneResult, TuneError> {
-    let wall = Instant::now();
-    let mut counters = PersistentCounters::default();
-    let cx = cache.map(|c| PersistentCx::new(c, func, target, configs));
-    if let Some(cx) = &cx {
-        if let Some(mut result) = cx.replay_winner(func.name(), 1, trace, &mut counters) {
-            cx.emit_counters(trace, &counters);
-            counters.apply(&mut result.stats);
-            result.timings.wall_seconds = wall.elapsed().as_secs_f64();
-            return Ok(result);
-        }
-    }
-    let baseline = Baseline::of(func);
-    let dedup = ConfigDedup::new(configs);
-    let mut prepare_busy = 0.0;
-    let unique: Vec<Prep> = dedup
-        .primaries
-        .iter()
-        .map(|&i| {
-            let started = Instant::now();
-            let prep = prepare_caught(func, configs[i], target, &baseline, trace);
-            prepare_busy += started.elapsed().as_secs_f64();
-            prep
-        })
-        .collect();
-    let preps = dedup.scatter(unique);
-    let plan = plan_groups(configs, &preps);
-    let mut preloaded: Vec<Option<CompiledInfo>> = match &cx {
-        Some(cx) => cx.preload_reports(&plan, &preps, trace, &mut counters),
-        None => plan.groups.iter().map(|_| None).collect(),
-    };
-    let was_preloaded: Vec<bool> = preloaded.iter().map(Option::is_some).collect();
-    let order: Vec<usize> = match &cx {
-        Some(cx) => cx.warm_order(configs, &plan, trace, &mut counters),
-        None => (0..plan.groups.len()).collect(),
-    };
-    let mut slots: Vec<Option<GroupEval>> = plan.groups.iter().map(|_| None).collect();
-    for &gi in &order {
-        let pre = preloaded[gi].take();
-        slots[gi] = Some(evaluate_group_caught(
-            &plan.groups[gi],
-            &preps,
-            target,
-            res,
-            trace,
-            run,
-            pre,
-        ));
-    }
-    let evals: Vec<GroupEval> = slots
-        .into_iter()
-        .map(|e| e.expect("every group is evaluated exactly once"))
-        .collect();
-    if let Some(cx) = &cx {
-        cx.store_fresh_reports(&plan, &preps, &evals, &was_preloaded, trace);
-    }
-    let phase = sum_phases(&evals);
-    let mut outcome = finalize(func.name(), configs, preps, plan, evals, 1, trace);
-    if let Ok(result) = &mut outcome {
-        result.timings = phase_timings(wall.elapsed().as_secs_f64(), prepare_busy, phase, 1);
-    }
-    match &cx {
-        Some(cx) => {
-            cx.emit_counters(trace, &counters);
-            let mut result = outcome?;
-            cx.store_winner(&result, trace);
-            counters.apply(&mut result.stats);
-            Ok(result)
-        }
-        None => outcome,
-    }
-}
-
 /// Sums the per-group phase accumulators into one busy-time total.
 fn sum_phases(evals: &[GroupEval]) -> PhaseAcc {
     evals.iter().fold(PhaseAcc::default(), |mut acc, e| {
@@ -1422,11 +1286,14 @@ fn phase_timings(
     }
 }
 
-/// Parallel driver: `workers` threads, one runner per worker built from
-/// `make_runner`. All persistent-cache traffic stays on the driver thread;
-/// workers only receive an already-resolved preloaded report (or `None`).
+/// The driver: replay → dedup → prepare → plan → preload → order → evaluate
+/// → store → finalize, on up to `workers` threads with one runner per
+/// worker built lazily from `make_runner` (at `workers == 1` the pool runs
+/// inline on the calling thread and builds one). All persistent-cache
+/// traffic stays on the driver thread; workers only receive an
+/// already-resolved preloaded report (or `None`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tune_parallel<R, F>(
+pub(crate) fn tune<R, F>(
     func: &Function,
     target: &dyn TargetModel,
     configs: &[CoarsenConfig],
@@ -1468,7 +1335,7 @@ where
         .collect();
     let preps = dedup.scatter(unique);
     let plan = plan_groups(configs, &preps);
-    let preloaded: Vec<Option<CompiledInfo>> = match &cx {
+    let preloaded: Vec<Option<StoredReport>> = match &cx {
         Some(cx) => cx.preload_reports(&plan, &preps, trace, &mut counters),
         None => plan.groups.iter().map(|_| None).collect(),
     };
@@ -1639,7 +1506,10 @@ mod tests {
         ];
         let plan = plan_groups(&configs, &preps);
         let mut run = |_: &Function, _: u32| Ok(1e-3);
-        let res = Resilience::disabled();
+        let res = Resilience {
+            plan: FaultPlan::disabled(),
+            retry: RetryPolicy::default(),
+        };
         let evals: Vec<GroupEval> = plan
             .groups
             .iter()
@@ -1838,7 +1708,7 @@ mod tests {
             None,
         );
         assert_eq!(eval.elected, None);
-        assert!(eval.backend.is_some(), "compile result survives the losses");
+        assert!(eval.report.is_some(), "compile result survives the losses");
         let backends = trace
             .events()
             .iter()

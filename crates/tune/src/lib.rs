@@ -22,9 +22,11 @@
 //! # The tuning engine
 //!
 //! Candidate evaluation is embarrassingly parallel, and the search is the
-//! hot loop of per-target respecialization, so the engine (see [`engine`]
-//! internals) works in two concurrent phases over a zero-dependency scoped
-//! worker pool ([`pool`]):
+//! hot loop of per-target respecialization, so the engine — one driver
+//! behind the one entry point, [`tune_kernel_pooled`] — works in two
+//! concurrent phases over a zero-dependency scoped worker pool ([`pool`]);
+//! with one worker the pool runs inline on the calling thread, so serial
+//! tuning is the same code at `parallelism = 1`:
 //!
 //! * **Prepare** — coarsen + optimize every configuration, prune on
 //!   legality and shared memory, and content-hash the resulting IR
@@ -327,8 +329,8 @@ impl RetryPolicy {
 
 /// Tuning knobs: the single entry path for configuring a search. Worker
 /// count drives the engine; strategy and totals drive candidate generation
-/// in the facade-level `autotune` helpers (lower-level `tune_kernel*` entry
-/// points take an explicit config list instead).
+/// in the facade-level `autotune_*` helpers ([`tune_kernel_pooled`] takes an
+/// explicit config list instead).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneOptions {
     /// Worker threads for candidate evaluation. `0` means one per available
@@ -652,28 +654,6 @@ pub fn candidate_configs(
     out
 }
 
-/// Tunes one kernel serially: applies each configuration to a clone, prunes
-/// by shared memory and spills, measures unique survivors with `run`, and
-/// returns the fastest version.
-///
-/// `run` receives a fully coarsened + optimized kernel and its register
-/// estimate, and must return the measured time in seconds (typically by
-/// launching it on a [`respec_sim::GpuSim`] with the application workload).
-/// For parallel evaluation use [`tune_kernel_pooled`], which takes a runner
-/// *factory* so every worker gets its own simulator.
-///
-/// # Errors
-///
-/// Returns a [`TuneError`] if no candidate survives measurement.
-pub fn tune_kernel(
-    func: &Function,
-    target: &dyn TargetModel,
-    configs: &[CoarsenConfig],
-    run: impl FnMut(&Function, u32) -> Result<f64, SimError>,
-) -> Result<TuneResult, TuneError> {
-    tune_kernel_traced(func, target, configs, run, &Trace::disabled())
-}
-
 /// Decision-log metrics for one candidate: the pruning stage it stopped at
 /// (or `"measure"` if it was timed) and the human-readable reason.
 fn candidate_metrics(candidate: &Candidate, regs: Option<u32>) -> Vec<(String, MetricValue)> {
@@ -726,42 +706,30 @@ fn candidate_metrics(candidate: &Candidate, regs: Option<u32>) -> Vec<(String, M
     m
 }
 
-/// [`tune_kernel`] with a decision log: the whole search runs under a
-/// `tune:<kernel>` span, every candidate records one `candidate` event
-/// carrying its configuration, the decision point that eliminated it and
-/// why (shared memory over budget, predicted spilling, illegal coarsening,
-/// failed measurement) or its measured time plus whether it was served from
-/// the compilation cache, and the selected version is recorded as a
-/// `winner` event. Cleanup passes run on each candidate under the same
-/// trace, so per-pass spans nest inside the tuning timeline; each unique IR
-/// version additionally records a `backend` span (register estimation) and,
-/// when eligible, a `measure` span around its runner invocation.
-pub fn tune_kernel_traced(
-    func: &Function,
-    target: &dyn TargetModel,
-    configs: &[CoarsenConfig],
-    mut run: impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    trace: &Trace,
-) -> Result<TuneResult, TuneError> {
-    engine::tune_serial(
-        func,
-        target,
-        configs,
-        &mut run,
-        trace,
-        &engine::Resilience::disabled(),
-        None,
-    )
-}
-
-/// Parallel timing-driven optimization on a scoped worker pool.
+/// Timing-driven optimization of one kernel on a scoped worker pool:
+/// applies each configuration to a copy of `func`, prunes by legality,
+/// shared memory and spills, measures one representative per unique
+/// surviving IR, and returns the fastest version.
 ///
 /// `make_runner` is invoked once per worker thread to build that worker's
-/// private measurement runner (each typically owning its own
-/// [`respec_sim::GpuSim`]); runners never cross threads, so they need no
-/// synchronization. The worker count comes from
+/// private measurement runner; runners never cross threads, so they need no
+/// synchronization. A runner receives a fully coarsened + optimized kernel
+/// and its register estimate and returns the measured time in seconds
+/// (typically by launching it on its own [`respec_sim::GpuSim`] with the
+/// application workload). The worker count comes from
 /// [`TuneOptions::effective_parallelism`]; with `parallelism == 1` the
 /// engine runs inline on the calling thread and spawns nothing.
+///
+/// The whole search runs under a `tune:<kernel>` span of `trace`: every
+/// candidate records one `candidate` event carrying its configuration, the
+/// decision point that eliminated it and why (shared memory over budget,
+/// predicted spilling, illegal coarsening, failed measurement) or its
+/// measured time plus whether it was served from the compilation cache, and
+/// the selected version is recorded as a `winner` event. Cleanup passes run
+/// on each candidate under the same trace, so per-pass spans nest inside the
+/// tuning timeline; each unique IR version additionally records a `backend`
+/// span (register estimation) and, when eligible, a `measure` span around
+/// its runner invocation.
 ///
 /// The result — winner, timing, decision log — is **identical at any
 /// worker count** (see the determinism contract in the crate docs).
@@ -781,27 +749,20 @@ where
     R: FnMut(&Function, u32) -> Result<f64, SimError>,
     F: Fn() -> R + Sync,
 {
-    let workers = options.effective_parallelism();
     let resilience = engine::Resilience {
         plan: options.fault_plan,
         retry: options.retry,
     };
-    let cache = options.cache.as_deref();
-    if workers <= 1 {
-        let mut run = make_runner();
-        engine::tune_serial(func, target, configs, &mut run, trace, &resilience, cache)
-    } else {
-        engine::tune_parallel(
-            func,
-            target,
-            configs,
-            workers,
-            &make_runner,
-            trace,
-            &resilience,
-            cache,
-        )
-    }
+    engine::tune(
+        func,
+        target,
+        configs,
+        options.effective_parallelism(),
+        &make_runner,
+        trace,
+        &resilience,
+        options.cache.as_deref(),
+    )
 }
 
 /// Default total-factor ladder used throughout the evaluation (§VII-B).
@@ -877,14 +838,23 @@ mod tests {
         let target = targets::a100();
         let configs = candidate_configs(Strategy::Combined, &[1, 2, 4], &[64, 1, 1]);
         let n = 64 * 64;
-        let result = tune_kernel(&func, &target, &configs, |version, regs| {
-            let mut sim = GpuSim::new(targets::a100());
-            let buf = sim.mem.alloc_f32(&vec![1.0; n]);
-            let report = sim.launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?;
-            // Functional correctness check folded into the runner.
-            assert_eq!(sim.mem.read_f32(buf), vec![2.0f32; n]);
-            Ok(report.kernel_seconds)
-        })
+        let result = tune_kernel_pooled(
+            &func,
+            &target,
+            &configs,
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    let mut sim = GpuSim::new(targets::a100());
+                    let buf = sim.mem.alloc_f32(&vec![1.0; n]);
+                    let report = sim.launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?;
+                    // Functional correctness check folded into the runner.
+                    assert_eq!(sim.mem.read_f32(buf), vec![2.0f32; n]);
+                    Ok(report.kernel_seconds)
+                }
+            },
+            &Trace::disabled(),
+        )
         .unwrap();
         assert!(result.best_seconds > 0.0);
         assert!(result.candidates.iter().any(|c| c.seconds.is_some()));
@@ -895,7 +865,7 @@ mod tests {
 
     #[test]
     fn cpu_target_tunes_through_the_same_entry_path() {
-        // The unchanged `tune_kernel` entry point searches CPU configurations:
+        // The one `tune_kernel_pooled` entry point searches CPU configurations:
         // the engine notices `TargetKind::Cpu`, lowers every coarsened version
         // through the GPU-to-CPU pass, and the runner executes the lowered IR
         // on the CPU projection of the simulator.
@@ -903,13 +873,22 @@ mod tests {
         let cpu = targets::cpu_desktop8();
         let configs = candidate_configs(Strategy::Combined, &[1, 2, 4], &[64, 1, 1]);
         let n = 64 * 64;
-        let result = tune_kernel(&func, &cpu, &configs, |version, regs| {
-            let mut sim = GpuSim::for_model(&targets::cpu_desktop8());
-            let buf = sim.mem.alloc_f32(&vec![1.0; n]);
-            let report = sim.launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?;
-            assert_eq!(sim.mem.read_f32(buf), vec![2.0f32; n]);
-            Ok(report.kernel_seconds)
-        })
+        let result = tune_kernel_pooled(
+            &func,
+            &cpu,
+            &configs,
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    let mut sim = GpuSim::for_model(&targets::cpu_desktop8());
+                    let buf = sim.mem.alloc_f32(&vec![1.0; n]);
+                    let report = sim.launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?;
+                    assert_eq!(sim.mem.read_f32(buf), vec![2.0f32; n]);
+                    Ok(report.kernel_seconds)
+                }
+            },
+            &Trace::disabled(),
+        )
         .unwrap();
         assert!(result.best_seconds > 0.0);
         assert!(result.candidates.iter().any(|c| c.seconds.is_some()));
@@ -955,13 +934,22 @@ mod tests {
                 thread: [1, 1, 1],
             },
         ];
-        let result = tune_kernel(&func, &target, &configs, |version, regs| {
-            let mut sim = GpuSim::new(targets::a100());
-            let buf = sim.mem.alloc_f32(&vec![1.0; 64 * 16]);
-            Ok(sim
-                .launch(version, [16, 1, 1], &[KernelArg::Buf(buf)], regs)?
-                .kernel_seconds)
-        })
+        let result = tune_kernel_pooled(
+            &func,
+            &target,
+            &configs,
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    let mut sim = GpuSim::new(targets::a100());
+                    let buf = sim.mem.alloc_f32(&vec![1.0; 64 * 16]);
+                    Ok(sim
+                        .launch(version, [16, 1, 1], &[KernelArg::Buf(buf)], regs)?
+                        .kernel_seconds)
+                }
+            },
+            &Trace::disabled(),
+        )
         .unwrap();
         let pruned: Vec<_> = result
             .candidates
@@ -991,13 +979,16 @@ mod tests {
         ];
         let calls = AtomicUsize::new(0);
         let trace = Trace::new();
-        let result = tune_kernel_traced(
+        let result = tune_kernel_pooled(
             &func,
             &target,
             &configs,
-            |version, regs| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                scale_runner(version, regs)
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    scale_runner(version, regs)
+                }
             },
             &trace,
         )
@@ -1046,13 +1037,16 @@ mod tests {
         let configs = vec![CoarsenConfig::identity(), noop];
         let calls = AtomicUsize::new(0);
         let trace = Trace::new();
-        let result = tune_kernel_traced(
+        let result = tune_kernel_pooled(
             &func,
             &target,
             &configs,
-            |version, regs| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                scale_runner(version, regs)
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    scale_runner(version, regs)
+                }
             },
             &trace,
         )
@@ -1074,7 +1068,15 @@ mod tests {
         let target = targets::a100();
         let configs = candidate_configs(Strategy::Combined, &[1, 2], &[64, 1, 1]);
         let trace = Trace::new();
-        let result = tune_kernel_traced(&func, &target, &configs, scale_runner, &trace).unwrap();
+        let result = tune_kernel_pooled(
+            &func,
+            &target,
+            &configs,
+            &TuneOptions::serial(),
+            || scale_runner,
+            &trace,
+        )
+        .unwrap();
         assert_eq!(result.stats.statically_rejected, 0);
         assert!(!result
             .candidates
@@ -1095,15 +1097,24 @@ mod tests {
         let configs = candidate_configs(Strategy::ThreadOnly, &[1, 2, 4], &[64, 1, 1]);
         // The identity reports NaN; a NaN incumbent must never survive, and
         // the winner must be a finite-timed candidate.
-        let result = tune_kernel(&func, &target, &configs, |version, regs| {
-            let launches = respec_ir::kernel::analyze_function(version).unwrap();
-            let coarsened = launches[0].block_dims[0] != 64;
-            if coarsened {
-                scale_runner(version, regs)
-            } else {
-                Ok(f64::NAN)
-            }
-        })
+        let result = tune_kernel_pooled(
+            &func,
+            &target,
+            &configs,
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    let launches = respec_ir::kernel::analyze_function(version).unwrap();
+                    let coarsened = launches[0].block_dims[0] != 64;
+                    if coarsened {
+                        scale_runner(version, regs)
+                    } else {
+                        Ok(f64::NAN)
+                    }
+                }
+            },
+            &Trace::disabled(),
+        )
         .unwrap();
         assert!(result.best_seconds.is_finite());
         assert!(!result.best_config.is_identity());
@@ -1167,16 +1178,19 @@ mod tests {
         let configs = candidate_configs(Strategy::Combined, &[1, 2, 4], &[64, 1, 1]);
         let trace = Trace::new();
         let n = 64 * 64;
-        let result = tune_kernel_traced(
+        let result = tune_kernel_pooled(
             &func,
             &target,
             &configs,
-            |version, regs| {
-                let mut sim = GpuSim::new(targets::a100());
-                let buf = sim.mem.alloc_f32(&vec![1.0; n]);
-                Ok(sim
-                    .launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?
-                    .kernel_seconds)
+            &TuneOptions::serial(),
+            || {
+                |version: &Function, regs| {
+                    let mut sim = GpuSim::new(targets::a100());
+                    let buf = sim.mem.alloc_f32(&vec![1.0; n]);
+                    Ok(sim
+                        .launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?
+                        .kernel_seconds)
+                }
             },
             &trace,
         )
@@ -1240,9 +1254,19 @@ mod tests {
                 .launch(version, [64, 1, 1], &[KernelArg::Buf(buf)], regs)?
                 .kernel_seconds)
         };
-        let plain = tune_kernel(&func, &target, &configs, runner).unwrap();
+        let serial = TuneOptions::serial();
+        let plain = tune_kernel_pooled(
+            &func,
+            &target,
+            &configs,
+            &serial,
+            || runner,
+            &Trace::disabled(),
+        )
+        .unwrap();
         let trace = Trace::new();
-        let traced = tune_kernel_traced(&func, &target, &configs, runner, &trace).unwrap();
+        let traced =
+            tune_kernel_pooled(&func, &target, &configs, &serial, || runner, &trace).unwrap();
         assert_eq!(plain.best_config, traced.best_config);
         assert_eq!(plain.best_seconds, traced.best_seconds);
         assert_eq!(plain.best.to_string(), traced.best.to_string());
@@ -1254,11 +1278,20 @@ mod tests {
         let func = parse_function(KERNEL).unwrap();
         let target = targets::a100();
         let configs = vec![CoarsenConfig::identity()];
-        let err = tune_kernel(&func, &target, &configs, |_, _| {
-            Err(respec_sim::SimError {
-                message: "boom".into(),
-            })
-        })
+        let err = tune_kernel_pooled(
+            &func,
+            &target,
+            &configs,
+            &TuneOptions::serial(),
+            || {
+                |_: &Function, _| {
+                    Err(respec_sim::SimError {
+                        message: "boom".into(),
+                    })
+                }
+            },
+            &Trace::disabled(),
+        )
         .unwrap_err();
         assert!(err.message.contains("no candidate"));
     }

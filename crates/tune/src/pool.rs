@@ -27,7 +27,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -48,12 +47,11 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The index deques, one per worker, plus the count of items not yet
-/// completed (the termination signal: deques can be momentarily empty while
-/// items are in flight on a worker, so emptiness alone cannot end the run).
+/// The index deques, one per worker. Items only ever move from a victim's
+/// deque to a thief's, so a worker that finds every deque empty has nothing
+/// left to take and leaves; whoever holds the last items finishes them.
 struct StealQueues {
     deques: Vec<Mutex<VecDeque<usize>>>,
-    remaining: AtomicUsize,
 }
 
 impl StealQueues {
@@ -67,10 +65,7 @@ impl StealQueues {
                 Mutex::new((lo..hi).collect())
             })
             .collect();
-        StealQueues {
-            deques,
-            remaining: AtomicUsize::new(n),
-        }
+        StealQueues { deques }
     }
 
     /// Next item for worker `me`: its own deque's front, else half of the
@@ -100,15 +95,6 @@ impl StealQueues {
             return Some(first);
         }
         None
-    }
-
-    /// Books one completed item; returns `true` when it was the last.
-    fn complete_one(&self) -> bool {
-        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-
-    fn all_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
     }
 }
 
@@ -166,25 +152,12 @@ where
             let run_one = &run_one;
             scope.spawn(move || {
                 let mut state: Option<S> = None;
-                loop {
-                    match queues.next(me) {
-                        Some(i) => {
-                            let out = run_one(&mut state, i);
-                            *lock_unpoisoned(&slots[i]) = Some(out);
-                            if queues.complete_one() {
-                                break;
-                            }
-                        }
-                        // Deques are dry but items may still be in flight on
-                        // other workers (whose deques can refill via steals):
-                        // spin politely until the last completion lands.
-                        None => {
-                            if queues.all_done() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
+                // A dry worker exits instead of spinning until the last
+                // in-flight item lands: an idle spinner competes for the
+                // core a straggler runs on.
+                while let Some(i) = queues.next(me) {
+                    let out = run_one(&mut state, i);
+                    *lock_unpoisoned(&slots[i]) = Some(out);
                 }
             });
         }
@@ -230,7 +203,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_input_order() {

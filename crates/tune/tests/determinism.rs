@@ -9,6 +9,8 @@
 //! worker count. CI runs this with a forced `parallelism > 1` so the
 //! threaded path is exercised even on single-core runners.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 use respec_ir::{parse_function, structural_hash, Function};
 use respec_sim::{targets, FaultPlan, FaultSpec, SimError};
@@ -148,6 +150,62 @@ fn fault_log(trace: &Trace) -> Vec<String> {
         .collect();
     log.sort();
     log
+}
+
+/// `parallelism = 1` is the pool's inline mode of the one driver: the
+/// factory is called once, and it and every runner call stay on the calling
+/// thread — nothing is spawned.
+#[test]
+fn serial_tuning_runs_inline_on_the_calling_thread() {
+    let case = Case {
+        block_x: 64,
+        extra_ops: 1,
+        use_shared: false,
+        strategy_pick: 2,
+        totals_mask: 0b111,
+        fail_parity: false,
+        fault_seed: 0,
+        fault_rate_pick: 0,
+        noise_pick: 0,
+    };
+    let func = kernel_for(&case);
+    let configs = candidate_configs(SearchStrategy::Combined, &[1, 2, 4], &[64, 1, 1]);
+    let caller = std::thread::current().id();
+    let (builds, calls, off_thread) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+    let note = |counter: &AtomicUsize| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        if std::thread::current().id() != caller {
+            off_thread.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    let result = tune_kernel_pooled(
+        &func,
+        &targets::a100(),
+        &configs,
+        &TuneOptions::serial(),
+        || {
+            note(&builds);
+            let mut run = runner(case.fail_parity);
+            let (note, calls) = (&note, &calls);
+            move |version: &Function, regs| {
+                note(calls);
+                run(version, regs)
+            }
+        },
+        &Trace::disabled(),
+    )
+    .expect("the clean search succeeds");
+    assert_eq!(builds.load(Ordering::SeqCst), 1, "one worker, one runner");
+    assert_eq!(calls.load(Ordering::SeqCst), result.stats.runner_calls);
+    assert!(
+        result.stats.runner_calls > 1,
+        "several groups were measured"
+    );
+    assert_eq!(off_thread.load(Ordering::SeqCst), 0, "nothing was spawned");
 }
 
 proptest! {

@@ -9,7 +9,7 @@
 //! fail a search (a defective entry is a miss, never an error).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use respec_ir::{parse_function, structural_hash, Function};
@@ -62,9 +62,19 @@ fn search(
     options: &TuneOptions,
     trace: &Trace,
 ) -> (TuneResult, Vec<respec_opt::CoarsenConfig>) {
+    search_with(target, options, trace, runner)
+}
+
+/// [`search`] with the caller's runner factory.
+fn search_with<R: FnMut(&Function, u32) -> Result<f64, SimError>>(
+    target: &TargetDesc,
+    options: &TuneOptions,
+    trace: &Trace,
+    make_runner: impl Fn() -> R + Sync,
+) -> (TuneResult, Vec<respec_opt::CoarsenConfig>) {
     let func = parse_function(KERNEL).expect("test kernel parses");
     let configs = candidate_configs(Strategy::Combined, &[1, 2, 4, 8], &[64, 1, 1]);
-    let result = tune_kernel_pooled(&func, target, &configs, options, runner, trace)
+    let result = tune_kernel_pooled(&func, target, &configs, options, make_runner, trace)
         .expect("the search succeeds");
     (result, configs)
 }
@@ -111,13 +121,22 @@ fn warm_retune_is_a_pure_replay_at_parallelism_1_and_4() {
         assert_eq!(cold.stats.invalidations, 0);
 
         let warm_trace = Trace::new();
-        let (warm, _) = search(&target, &options(&dir), &warm_trace);
+        let runners_built = AtomicUsize::new(0);
+        let (warm, _) = search_with(&target, &options(&dir), &warm_trace, || {
+            runners_built.fetch_add(1, Ordering::SeqCst);
+            runner()
+        });
         assert_eq!(
             backend_compiles(&warm_trace),
             0,
             "warm run (workers={workers}) must perform zero backend compiles"
         );
         assert_eq!(warm.stats.runner_calls, 0, "replay never measures");
+        assert_eq!(
+            runners_built.load(Ordering::SeqCst),
+            0,
+            "replay (workers={workers}) never builds a runner"
+        );
         assert_eq!(warm.stats.persistent_hits, 1, "exactly the winner entry");
         assert_bit_identical(&cold, &warm);
 

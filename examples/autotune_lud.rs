@@ -7,7 +7,7 @@
 //! ```
 
 use respec::prelude::*;
-use respec::{candidate_configs, tune_kernel};
+use respec::{candidate_configs, tune_kernel_pooled, Function};
 use respec_rodinia::{all_apps, compile_app};
 
 fn main() {
@@ -37,13 +37,22 @@ fn main() {
     let configs = candidate_configs(Strategy::Combined, &[1, 2, 4, 8], &launch.block_dims);
     println!("{} candidate configurations\n", configs.len());
 
-    let result = tune_kernel(&func, &target, &configs, |version, _regs| {
-        let mut m = module.clone();
-        m.add_function(version.clone());
-        let mut sim = GpuSim::new(targets::a100());
-        lud.run(&mut sim, &m)?;
-        Ok(sim.elapsed_seconds)
-    })
+    let result = tune_kernel_pooled(
+        &func,
+        &target,
+        &configs,
+        &TuneOptions::serial(),
+        || {
+            |version: &Function, _regs| {
+                let mut m = module.clone();
+                m.add_function(version.clone());
+                let mut sim = GpuSim::new(targets::a100());
+                lud.run(&mut sim, &m)?;
+                Ok(sim.elapsed_seconds)
+            }
+        },
+        &Trace::disabled(),
+    )
     .expect("tuning succeeds");
 
     println!(

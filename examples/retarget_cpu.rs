@@ -12,6 +12,7 @@
 //! ```
 
 use respec::prelude::*;
+use respec::Function;
 
 const SOURCE: &str = r#"
 __global__ void smooth(float* out, float* in, int n) {
@@ -33,12 +34,9 @@ fn tune_on(target: std::sync::Arc<dyn TargetModel>) -> Result<TuneResult, Error>
         .kernel("smooth", [128, 1, 1])
         .target_model(target.clone())
         .compile()?;
-    let runner_target = target.clone();
-    compiled.autotune(
-        "smooth",
-        &TuneOptions::serial().totals(&[1, 2, 4]),
-        move |func, regs| {
-            let mut sim = GpuSim::for_model(runner_target.as_ref());
+    compiled.autotune_pooled("smooth", &TuneOptions::serial().totals(&[1, 2, 4]), || {
+        |func: &Function, regs| {
+            let mut sim = GpuSim::for_model(target.as_ref());
             let input: Vec<f32> = (0..n).map(|i| (i % 13) as f32).collect();
             let ib = sim.mem.alloc_f32(&input);
             let ob = sim.mem.alloc_f32(&vec![0.0; n]);
@@ -54,8 +52,8 @@ fn tune_on(target: std::sync::Arc<dyn TargetModel>) -> Result<TuneResult, Error>
                 regs,
             )?;
             Ok(report.kernel_seconds)
-        },
-    )
+        }
+    })
 }
 
 fn main() -> Result<(), Error> {

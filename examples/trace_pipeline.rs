@@ -11,6 +11,7 @@
 use std::io::Write;
 
 use respec::prelude::*;
+use respec::Function;
 use respec_rodinia::all_apps;
 
 fn main() {
@@ -41,17 +42,19 @@ fn main() {
     // so the trace shows real pruning decisions, not just measurements.
     let module = compiled.module.clone();
     let result = compiled
-        .autotune(
+        .autotune_pooled(
             lud.main_kernel(),
             &TuneOptions::serial()
                 .strategy(Strategy::Combined)
                 .totals(&[1, 2, 4, 8, 16]),
-            |version, _regs| {
-                let mut m = module.clone();
-                m.add_function(version.clone());
-                let mut sim = GpuSim::new(targets::a100());
-                lud.run(&mut sim, &m)?;
-                Ok(sim.elapsed_seconds)
+            || {
+                |version: &Function, _regs| {
+                    let mut m = module.clone();
+                    m.add_function(version.clone());
+                    let mut sim = GpuSim::new(targets::a100());
+                    lud.run(&mut sim, &m)?;
+                    Ok(sim.elapsed_seconds)
+                }
             },
         )
         .expect("tuning succeeds");

@@ -2,7 +2,10 @@
 //! measure candidates, prune infeasible ones, and — the paper's headline —
 //! the combined block+thread strategy must never lose to thread-only.
 
-use respec::{candidate_configs, targets, tune_kernel, Compiler, GpuSim, KernelArg, Strategy};
+use respec::{
+    candidate_configs, targets, tune_kernel_pooled, Compiler, Function, GpuSim, KernelArg,
+    Strategy, Trace, TuneOptions,
+};
 use respec_rodinia::{all_apps, compile_app, max_abs_err};
 
 /// Tunes an app's main kernel by substituting candidates into the module
@@ -25,27 +28,36 @@ fn tune_app_sized(
     let launches = respec::ir::kernel::analyze_function(&func).expect("kernel shape");
     let configs = candidate_configs(strategy, totals, &launches[0].block_dims);
     let reference = app.reference();
-    let result = tune_kernel(&func, &target, &configs, |version, _regs| {
-        let mut m = module.clone();
-        m.add_function(version.clone());
-        let mut sim = GpuSim::new(targets::a100());
-        let out = app.run(&mut sim, &m)?;
-        // Fold the paper's output verification into TDO runs.
-        assert!(
-            max_abs_err(&out, &reference) <= app.tolerance(),
-            "tuned variant of {name} produced wrong output"
-        );
-        // Kernel-scope objective with the paper's short-run filter
-        // (§VII-A): drop the shrinking-grid tail relative to the largest
-        // launch of the kernel.
-        let max = sim
-            .launch_log
-            .iter()
-            .filter(|t| t.kernel == kernel_name)
-            .map(|t| t.seconds)
-            .fold(0.0f64, f64::max);
-        Ok(sim.kernel_seconds_above(&kernel_name, max * 0.25))
-    })
+    let result = tune_kernel_pooled(
+        &func,
+        &target,
+        &configs,
+        &TuneOptions::serial(),
+        || {
+            |version: &Function, _regs| {
+                let mut m = module.clone();
+                m.add_function(version.clone());
+                let mut sim = GpuSim::new(targets::a100());
+                let out = app.run(&mut sim, &m)?;
+                // Fold the paper's output verification into TDO runs.
+                assert!(
+                    max_abs_err(&out, &reference) <= app.tolerance(),
+                    "tuned variant of {name} produced wrong output"
+                );
+                // Kernel-scope objective with the paper's short-run filter
+                // (§VII-A): drop the shrinking-grid tail relative to the largest
+                // launch of the kernel.
+                let max = sim
+                    .launch_log
+                    .iter()
+                    .filter(|t| t.kernel == kernel_name)
+                    .map(|t| t.seconds)
+                    .fold(0.0f64, f64::max);
+                Ok(sim.kernel_seconds_above(&kernel_name, max * 0.25))
+            }
+        },
+        &Trace::disabled(),
+    )
     .expect("tuning succeeds");
     let identity = result
         .candidates
@@ -94,26 +106,35 @@ fn tdo_improves_gaussian_kernel() {
     let target = targets::a100();
     let n = 1024i32;
     let configs = candidate_configs(Strategy::Combined, &[1, 2, 4], &[16, 16, 1]);
-    let result = tune_kernel(&func, &target, &configs, |version, regs| {
-        let mut sim = GpuSim::new(targets::a100());
-        let m = sim.mem.alloc_f32(&vec![0.5; (n * n) as usize]);
-        let a = sim.mem.alloc_f32(&vec![1.0; (n * n) as usize]);
-        let b = sim.mem.alloc_f32(&vec![1.0; n as usize]);
-        let g = (n as i64) / 16;
-        let report = sim.launch(
-            version,
-            [g, g, 1],
-            &[
-                KernelArg::Buf(m),
-                KernelArg::Buf(a),
-                KernelArg::Buf(b),
-                KernelArg::I32(n),
-                KernelArg::I32(0),
-            ],
-            regs,
-        )?;
-        Ok(report.kernel_seconds)
-    })
+    let result = tune_kernel_pooled(
+        &func,
+        &target,
+        &configs,
+        &TuneOptions::serial(),
+        || {
+            |version: &Function, regs| {
+                let mut sim = GpuSim::new(targets::a100());
+                let m = sim.mem.alloc_f32(&vec![0.5; (n * n) as usize]);
+                let a = sim.mem.alloc_f32(&vec![1.0; (n * n) as usize]);
+                let b = sim.mem.alloc_f32(&vec![1.0; n as usize]);
+                let g = (n as i64) / 16;
+                let report = sim.launch(
+                    version,
+                    [g, g, 1],
+                    &[
+                        KernelArg::Buf(m),
+                        KernelArg::Buf(a),
+                        KernelArg::Buf(b),
+                        KernelArg::I32(n),
+                        KernelArg::I32(0),
+                    ],
+                    regs,
+                )?;
+                Ok(report.kernel_seconds)
+            }
+        },
+        &Trace::disabled(),
+    )
     .expect("tuning succeeds");
     let identity = result
         .candidates
@@ -161,19 +182,28 @@ fn spill_pruning_protects_register_heavy_kernels() {
     let func = compiled.kernel("fat").clone();
     let target = targets::a100();
     let configs = candidate_configs(Strategy::ThreadOnly, &[1, 8, 16, 32], &[64, 1, 1]);
-    let result = tune_kernel(&func, &target, &configs, |version, regs| {
-        let mut sim = GpuSim::new(targets::a100());
-        let out = sim.mem.alloc_f32(&vec![0.0; 4096 + 64]);
-        let inp = sim.mem.alloc_f32(&vec![1.0; 4096 + 64]);
-        Ok(sim
-            .launch(
-                version,
-                [64, 1, 1],
-                &[KernelArg::Buf(out), KernelArg::Buf(inp)],
-                regs,
-            )?
-            .kernel_seconds)
-    })
+    let result = tune_kernel_pooled(
+        &func,
+        &target,
+        &configs,
+        &TuneOptions::serial(),
+        || {
+            |version: &Function, regs| {
+                let mut sim = GpuSim::new(targets::a100());
+                let out = sim.mem.alloc_f32(&vec![0.0; 4096 + 64]);
+                let inp = sim.mem.alloc_f32(&vec![1.0; 4096 + 64]);
+                Ok(sim
+                    .launch(
+                        version,
+                        [64, 1, 1],
+                        &[KernelArg::Buf(out), KernelArg::Buf(inp)],
+                        regs,
+                    )?
+                    .kernel_seconds)
+            }
+        },
+        &Trace::disabled(),
+    )
     .expect("tuning succeeds");
     let spill_pruned = result
         .candidates
