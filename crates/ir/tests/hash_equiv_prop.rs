@@ -142,6 +142,8 @@ fn rodinia_corpus_relations_agree_pairwise() {
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("tests/goldens exists")
         .map(|e| e.expect("dir entry").path())
+        // The directory also holds the simulator pin of `tests/sim_goldens.rs`.
+        .filter(|p| p.extension().is_some_and(|e| e == "ir"))
         .collect();
     entries.sort();
     for path in entries {

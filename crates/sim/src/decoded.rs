@@ -7,6 +7,13 @@
 //! re-matching `OpKind`, re-deriving result types, and re-walking operand
 //! vectors on every dynamic step.
 //!
+//! Decode is also where everything that is a property of the *op* rather
+//! than of a lane is settled: the arithmetic domain of a binary op
+//! ([`Num`]), the domains a cast converts between, whether a comparison is
+//! on floats, and the op's [`InstClass`] for the timing model.
+//! The warp executor turns each such choice into one specialised lane loop
+//! per warp-op; the scalar interpreter evaluates the same choice per thread.
+//!
 //! Decode never fails: malformed operations (which previously panicked when
 //! driven unverified) decode into [`DecodedOp::Invalid`] carrying the error
 //! message and whether the op would have counted an issue before failing, so
@@ -15,12 +22,36 @@
 
 use respec_ir::{BinOp, CmpPred, Function, MemSpace, OpKind, RegionId, ScalarType, UnOp, Value};
 
+use crate::interp::{classify, InstClass};
+
 /// A value slot: the raw index of an SSA [`Value`].
 pub(crate) type Slot = u32;
 
 #[inline]
 pub(crate) fn slot_value(s: Slot) -> Value {
     Value::from_index(s as usize)
+}
+
+/// Numeric domain of a result type: what a binary op computes in, what a
+/// cast converts to.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Num {
+    /// Wrapping integer arithmetic, truncated to the result type.
+    Int(ScalarType),
+    /// Float arithmetic, rounded through `f32` when `single`.
+    Float { single: bool },
+}
+
+impl Num {
+    fn of(ty: ScalarType) -> Num {
+        if ty.is_float() {
+            Num::Float {
+                single: ty == ScalarType::F32,
+            }
+        } else {
+            Num::Int(ty)
+        }
+    }
 }
 
 /// One operation, resolved to direct slot indices and immediate payloads.
@@ -40,7 +71,7 @@ pub(crate) enum DecodedOp {
         l: Slot,
         r: Slot,
         op: BinOp,
-        ty: ScalarType,
+        num: Num,
     },
     Unary {
         out: Slot,
@@ -64,8 +95,9 @@ pub(crate) enum DecodedOp {
     Cast {
         out: Slot,
         v: Slot,
-        from: ScalarType,
-        to: ScalarType,
+        /// The operand is float-family (else integer-family).
+        from_float: bool,
+        to: Num,
     },
     Alloc {
         out: Slot,
@@ -149,6 +181,8 @@ pub(crate) struct DecodedProgram {
     /// despools. Every ancestor of a non-maskable op is itself non-maskable,
     /// so a despool only ever happens at full mask.
     pub(crate) maskable: Vec<bool>,
+    /// Per op: its instruction class for the timing model (`None` is free).
+    pub(crate) classes: Vec<Option<InstClass>>,
 }
 
 impl DecodedProgram {
@@ -171,6 +205,9 @@ impl DecodedProgram {
             steps,
             region_has_alloc: flags.iter().map(|&f| f & HAS_ALLOC != 0).collect(),
             maskable,
+            classes: (0..func.num_ops())
+                .map(|i| classify(func, respec_ir::OpId::from_index(i)))
+                .collect(),
         }
     }
 }
@@ -261,7 +298,7 @@ fn decode_op(func: &Function, id: respec_ir::OpId) -> DecodedOp {
                     l,
                     r,
                     op: *b,
-                    ty,
+                    num: Num::of(ty),
                 },
                 None => not_scalar(true, op.results[0]),
             },
@@ -296,8 +333,8 @@ fn decode_op(func: &Function, id: respec_ir::OpId) -> DecodedOp {
                 Some(from) => DecodedOp::Cast {
                     out,
                     v,
-                    from,
-                    to: *to,
+                    from_float: from.is_float(),
+                    to: Num::of(*to),
                 },
                 None => not_scalar(false, op.operands[0]),
             },

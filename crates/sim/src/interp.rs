@@ -16,7 +16,7 @@ use respec_ir::{
     BinOp, CmpPred, Function, MemSpace, OpId, OpKind, RegionId, ScalarType, UnOp, Value,
 };
 
-use crate::decoded::{slot_value, DecodedOp, DecodedProgram};
+use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Num};
 use crate::memory::DeviceMemory;
 use crate::value::{MemVal, RtVal, Store};
 
@@ -95,55 +95,314 @@ pub enum InstClass {
     Barrier,
 }
 
-/// Per-thread, per-phase execution counters.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadCounters {
-    issue: Vec<u32>,
-    touched: Vec<u32>,
-    /// Memory events of the current phase.
-    pub events: Vec<MemEvent>,
+/// One warp-level memory access of the lock-step executor: the lanes
+/// `lanes[start..start + len]` of one execution of `op`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AccessRecord {
+    /// Static operation (as raw arena index).
+    pub(crate) op: u32,
+    /// How often the warp had executed `op` in this phase before.
+    pub(crate) occ: u32,
+    pub(crate) is_store: bool,
+    /// Lowest lane in the access; its address space is the access's.
+    pub(crate) first_lane: u8,
+    pub(crate) shared: bool,
+    pub(crate) start: u32,
+    pub(crate) len: u32,
 }
 
-impl ThreadCounters {
-    /// Creates counters for a function with `num_ops` operations.
-    pub fn new(num_ops: usize) -> ThreadCounters {
-        ThreadCounters {
-            issue: vec![0; num_ops],
+/// Issue counts and memory accesses of one warp in one phase.
+///
+/// The count of `op` in lane `l` is `warp[op] + lane[op][l]`: a lock-step
+/// execution at full mask bumps the one warp-level count, anything else
+/// (a partial mask, a scalar lane) the lanes it ran in. Memory accesses are
+/// kept in one of two forms. While the lock-step executor runs and every
+/// access is a whole `(op, occurrence)` group of the per-lane reference
+/// (`commit_access` checks it), they are access records
+/// the merger accounts directly. Otherwise — scalar lanes, the sanitizer, or
+/// a record that would not be such a group — they are per-lane [`MemEvent`]
+/// lists the merger regroups by `(op, occurrence)`; `spill`
+/// converts the first form into the second.
+#[derive(Clone, Debug)]
+pub struct WarpCounters {
+    stride: usize,
+    /// Live lanes of the warp (a ragged last warp has fewer than `stride`).
+    pub(crate) lanes: usize,
+    /// Per op: lock-step executions at any mask plus per-lane bumps; non-zero
+    /// exactly for the ops in `touched`.
+    execs: Vec<u32>,
+    /// Per op: lock-step executions at full mask.
+    warp: Vec<u32>,
+    /// Op-major `[op * stride + lane]`: the lane's executions beyond `warp`.
+    lane: Vec<u32>,
+    pub(crate) touched: Vec<u32>,
+    pub(crate) records: Vec<AccessRecord>,
+    /// Lane entries of `records` (and of the access being built): `(addr,
+    /// bytes)` and, in parallel, `(lane, space)`.
+    pub(crate) lanes_of: Vec<(u64, u8)>,
+    who: Vec<(u8, MemSpace)>,
+    /// `records` are in ascending `first_lane` order (the merger's order).
+    pub(crate) ordered: bool,
+    /// Per-lane event lists; in use exactly when `per_lane`.
+    events: Vec<Vec<MemEvent>>,
+    pub(crate) per_lane: bool,
+}
+
+impl WarpCounters {
+    /// Creates counters for a warp of up to `stride` lanes over a function
+    /// with `num_ops` operations.
+    pub fn new(num_ops: usize, stride: usize) -> WarpCounters {
+        assert!(stride <= 256, "lane ids are stored in a byte");
+        WarpCounters {
+            stride,
+            lanes: stride,
+            execs: vec![0; num_ops],
+            warp: vec![0; num_ops],
+            lane: vec![0; num_ops * stride],
             touched: Vec::new(),
-            events: Vec::new(),
+            records: Vec::new(),
+            lanes_of: Vec::new(),
+            who: Vec::new(),
+            ordered: true,
+            events: vec![Vec::new(); stride],
+            per_lane: false,
         }
     }
 
-    /// Clears the counters for the next phase.
-    pub fn reset(&mut self) {
-        for &t in &self.touched {
-            self.issue[t as usize] = 0;
+    /// Clears the counters for the next phase of a warp of `lanes` lanes;
+    /// `per_lane` starts it in the event-list form.
+    pub fn reset(&mut self, lanes: usize, per_lane: bool) {
+        debug_assert!(lanes <= self.stride);
+        for &op in &self.touched {
+            let op = op as usize;
+            if self.execs[op] != self.warp[op] {
+                self.lane[op * self.stride..][..self.stride].fill(0);
+            }
+            self.execs[op] = 0;
+            self.warp[op] = 0;
         }
         self.touched.clear();
-        self.events.clear();
+        self.records.clear();
+        self.lanes_of.clear();
+        self.who.clear();
+        self.ordered = true;
+        if self.per_lane {
+            self.events.iter_mut().for_each(Vec::clear);
+        }
+        self.lanes = lanes;
+        self.per_lane = per_lane;
+    }
+
+    /// Clears one lane for its next phase (event-list form only: the other
+    /// lanes may keep the stale counters of a phase they finished in).
+    pub fn reset_lane(&mut self, lane: usize) {
+        debug_assert!(self.per_lane, "lanes reset one by one only after a spill");
+        for &op in &self.touched {
+            self.lane[op as usize * self.stride + lane] = 0;
+        }
+        self.events[lane].clear();
+    }
+
+    /// The counters as one scalar lane sees them.
+    pub fn lane(&mut self, lane: usize) -> LaneCounters<'_> {
+        debug_assert!(self.per_lane, "scalar lanes record events, not records");
+        LaneCounters { warp: self, lane }
+    }
+
+    /// Memory events of one lane (event-list form).
+    pub fn events(&self, lane: usize) -> &[MemEvent] {
+        &self.events[lane]
+    }
+
+    /// Warp-level issue count of a touched op: the maximum over its lanes.
+    pub(crate) fn issue_count(&self, op: usize) -> u32 {
+        let row = &self.lane[op * self.stride..][..self.lanes];
+        let extra = if self.execs[op] != self.warp[op] {
+            row.iter().copied().max().unwrap_or(0)
+        } else {
+            0
+        };
+        self.warp[op] + extra
     }
 
     #[inline]
-    pub(crate) fn bump(&mut self, op: OpId) -> u32 {
-        let i = op.index();
-        if self.issue[i] == 0 {
-            self.touched.push(i as u32);
+    fn touch(&mut self, op: usize) -> u32 {
+        let execs = self.execs[op];
+        if execs == 0 {
+            self.touched.push(op as u32);
         }
-        let occ = self.issue[i];
-        self.issue[i] += 1;
-        occ
+        self.execs[op] = execs + 1;
+        execs
     }
 
-    /// Issue count of one op in this phase.
-    pub fn issue_count(&self, op: OpId) -> u32 {
-        self.issue[op.index()]
+    /// One lock-step issue of `op` at full mask.
+    #[inline]
+    pub(crate) fn bump_warp(&mut self, op: OpId) {
+        self.touch(op.index());
+        self.warp[op.index()] += 1;
     }
 
-    /// Iterates over `(op_index, issue_count)` pairs of this phase.
-    pub fn issues(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.touched
-            .iter()
-            .map(move |&t| (t, self.issue[t as usize]))
+    /// One lock-step issue of `op` in the lanes `active`.
+    #[inline]
+    pub(crate) fn bump_lanes(&mut self, op: OpId, active: &[u32]) {
+        self.touch(op.index());
+        let row = &mut self.lane[op.index() * self.stride..][..self.stride];
+        for &l in active {
+            row[l as usize] += 1;
+        }
+    }
+
+    /// Starts a lock-step memory access; lanes follow through
+    /// [`WarpCounters::push_lane`], then [`WarpCounters::commit_access`].
+    #[inline]
+    pub(crate) fn begin_access(&self) -> usize {
+        self.who.len()
+    }
+
+    #[inline]
+    pub(crate) fn push_lane(&mut self, lane: usize, addr: u64, bytes: u8, space: MemSpace) {
+        self.lanes_of.push((addr, bytes));
+        self.who.push((lane as u8, space));
+    }
+
+    /// Appends lane entry `k` to its lane's event list.
+    fn push_event(&mut self, k: usize, op: u32, occ: u32, is_store: bool) {
+        let ((addr, bytes), (l, space)) = (self.lanes_of[k], self.who[k]);
+        self.events[l as usize].push(MemEvent {
+            op,
+            occ,
+            addr,
+            bytes,
+            space,
+            is_store,
+        });
+    }
+
+    /// Books the access pushed since `start` (ascending lanes, at least one)
+    /// as one issue of `op` and as one [`AccessRecord`] — or, in the
+    /// event-list form, as one event per lane.
+    ///
+    /// A record stands for the reference's `(op, occurrence)` group only if
+    /// every lane in it has executed `op` exactly as often as the warp has,
+    /// so that the lanes' own occurrence numbers all equal the record's. An
+    /// access that fails the test (a guard that depends on the induction
+    /// variable of a uniform loop, say) spills the phase.
+    pub(crate) fn commit_access(&mut self, op: OpId, is_store: bool, start: usize, full: bool) {
+        let mut start = start;
+        let o = op.index();
+        let row = o * self.stride;
+        let partial = self.execs[o] - self.warp[o];
+        let is_group = (full && partial == 0)
+            || self.who[start..]
+                .iter()
+                .all(|&(l, _)| self.lane[row + l as usize] == partial);
+        if !self.per_lane && !is_group {
+            // The records' lane entries end where this access starts.
+            self.spill();
+            start = 0;
+        }
+        let occ = self.touch(o);
+        if self.per_lane {
+            for k in start..self.who.len() {
+                let own = self.warp[o] + self.lane[row + self.who[k].0 as usize];
+                self.push_event(k, o as u32, own, is_store);
+            }
+        } else {
+            let (first_lane, space) = self.who[start];
+            self.ordered &= self
+                .records
+                .last()
+                .is_none_or(|r| r.first_lane <= first_lane);
+            self.records.push(AccessRecord {
+                op: o as u32,
+                occ,
+                is_store,
+                first_lane,
+                shared: space == MemSpace::Shared,
+                start: start as u32,
+                len: (self.who.len() - start) as u32,
+            });
+        }
+        if full {
+            self.warp[o] += 1;
+        } else {
+            for &(l, _) in &self.who[start..] {
+                self.lane[row + l as usize] += 1;
+            }
+        }
+        if self.per_lane {
+            self.lanes_of.truncate(start);
+            self.who.truncate(start);
+        }
+    }
+
+    /// Switches to the event-list form: replays the records into per-lane
+    /// events (a record's lanes all have its occurrence number) and folds the
+    /// warp-level counts into the lanes, so lanes can be reset one by one —
+    /// the fold also when the phase began in this form (the sanitizer's).
+    /// Lane entries past the last record — an access being built — are kept.
+    pub(crate) fn spill(&mut self) {
+        if !self.per_lane {
+            self.per_lane = true;
+            let mut pending = 0;
+            for i in 0..self.records.len() {
+                let r = self.records[i];
+                pending = (r.start + r.len) as usize;
+                for k in r.start as usize..pending {
+                    self.push_event(k, r.op, r.occ, r.is_store);
+                }
+            }
+            self.records.clear();
+            self.lanes_of.drain(..pending);
+            self.who.drain(..pending);
+        }
+        for &op in &self.touched {
+            let count = std::mem::take(&mut self.warp[op as usize]);
+            if count > 0 {
+                let row = &mut self.lane[op as usize * self.stride..][..self.lanes];
+                row.iter_mut().for_each(|c| *c += count);
+            }
+        }
+    }
+}
+
+/// One scalar lane's view of its warp's [`WarpCounters`].
+#[derive(Debug)]
+pub struct LaneCounters<'a> {
+    warp: &'a mut WarpCounters,
+    lane: usize,
+}
+
+impl LaneCounters<'_> {
+    /// One issue of `op` in this lane; returns its occurrence number.
+    #[inline]
+    pub(crate) fn bump(&mut self, op: OpId) -> u32 {
+        let c = &mut *self.warp;
+        c.touch(op.index());
+        let slot = &mut c.lane[op.index() * c.stride + self.lane];
+        *slot += 1;
+        c.warp[op.index()] + *slot - 1
+    }
+
+    /// One issue of the memory op `op` in this lane, with its event.
+    #[inline]
+    pub(crate) fn access(
+        &mut self,
+        op: OpId,
+        addr: u64,
+        bytes: u8,
+        space: MemSpace,
+        is_store: bool,
+    ) {
+        let occ = self.bump(op);
+        self.warp.events[self.lane].push(MemEvent {
+            op: op.index() as u32,
+            occ,
+            addr,
+            bytes,
+            space,
+            is_store,
+        });
     }
 }
 
@@ -256,8 +515,8 @@ pub struct StepCx<'a> {
     pub mem: &'a mut DeviceMemory,
     /// Value stores of enclosing scopes (innermost first).
     pub parents: &'a [&'a Store],
-    /// Per-thread counters; `None` for host/block scopes.
-    pub counters: Option<&'a mut ThreadCounters>,
+    /// The executing thread's counters; `None` for host/block scopes.
+    pub counters: Option<LaneCounters<'a>>,
     /// Scratch allocation start: shared/local allocs performed by this scope
     /// tree, so the launcher can release them.
     pub record_allocs: Option<&'a mut Vec<crate::memory::BufferId>>,
@@ -449,7 +708,7 @@ impl<'f> Interp<'f> {
                         step,
                     } => {
                         // Loop back-edge: one branch issue.
-                        if let Some(c) = cx.counters.as_deref_mut() {
+                        if let Some(c) = cx.counters.as_mut() {
                             c.bump(op_id);
                         }
                         let next = iv + step;
@@ -516,7 +775,7 @@ impl<'f> Interp<'f> {
                     FrameKind::WhileCond { op } => op,
                     _ => return Err(SimError::new("`condition` outside while condition region")),
                 };
-                if let Some(c) = cx.counters.as_deref_mut() {
+                if let Some(c) = cx.counters.as_mut() {
                     c.bump(op_id);
                 }
                 if flag {
@@ -555,7 +814,7 @@ impl<'f> Interp<'f> {
 
         match decoded {
             DecodedOp::Barrier => {
-                if let Some(c) = cx.counters.as_deref_mut() {
+                if let Some(c) = cx.counters.as_mut() {
                     c.bump(op_id);
                 }
                 Ok(StepEvent::Barrier)
@@ -625,7 +884,7 @@ impl<'f> Interp<'f> {
                 then_r,
                 else_r,
             } => {
-                if let Some(c) = cx.counters.as_deref_mut() {
+                if let Some(c) = cx.counters.as_mut() {
                     c.bump(op_id);
                 }
                 let taken = want_int(self.get_slot(cx, *cond)?)? != 0;
@@ -672,17 +931,17 @@ impl<'f> Interp<'f> {
             DecodedOp::ConstFloat { out, value } => {
                 self.store.set(slot_value(*out), RtVal::Float(*value));
             }
-            DecodedOp::Binary { out, l, r, op, ty } => {
-                if let Some(c) = cx.counters.as_deref_mut() {
+            DecodedOp::Binary { out, l, r, op, num } => {
+                if let Some(c) = cx.counters.as_mut() {
                     c.bump(op_id);
                 }
                 let l = self.get_slot(cx, *l)?;
                 let r = self.get_slot(cx, *r)?;
-                let result = eval_binary(*op, *ty, l, r)?;
+                let result = eval_binary(*op, *num, l, r)?;
                 self.store.set(slot_value(*out), result);
             }
             DecodedOp::Unary { out, v, op, ty } => {
-                if let Some(c) = cx.counters.as_deref_mut() {
+                if let Some(c) = cx.counters.as_mut() {
                     c.bump(op_id);
                 }
                 let v = self.get_slot(cx, *v)?;
@@ -696,7 +955,7 @@ impl<'f> Interp<'f> {
                 pred,
                 float,
             } => {
-                if let Some(c) = cx.counters.as_deref_mut() {
+                if let Some(c) = cx.counters.as_mut() {
                     c.bump(op_id);
                 }
                 let l = self.get_slot(cx, *l)?;
@@ -705,16 +964,21 @@ impl<'f> Interp<'f> {
                 self.store.set(slot_value(*out), RtVal::Int(flag as i64));
             }
             DecodedOp::Select { out, c, t, f } => {
-                if let Some(cnt) = cx.counters.as_deref_mut() {
+                if let Some(cnt) = cx.counters.as_mut() {
                     cnt.bump(op_id);
                 }
                 let flag = want_int(self.get_slot(cx, *c)?)? != 0;
                 let v = self.get_slot(cx, if flag { *t } else { *f })?;
                 self.store.set(slot_value(*out), v);
             }
-            DecodedOp::Cast { out, v, from, to } => {
+            DecodedOp::Cast {
+                out,
+                v,
+                from_float,
+                to,
+            } => {
                 let v = self.get_slot(cx, *v)?;
-                let result = cast_value(v, *from, *to)?;
+                let result = cast_value(v, *from_float, *to)?;
                 self.store.set(slot_value(*out), result);
             }
             DecodedOp::Alloc {
@@ -773,16 +1037,9 @@ impl<'f> Interp<'f> {
                     RtVal::Int(i)
                 };
                 self.store.set(slot_value(*out), v);
-                if let Some(c) = cx.counters.as_deref_mut() {
-                    let occ = c.bump(op_id);
-                    c.events.push(MemEvent {
-                        op: op_id.index() as u32,
-                        occ,
-                        addr: cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes(),
-                        bytes: elem.size_bytes() as u8,
-                        space: mem.space,
-                        is_store: false,
-                    });
+                if let Some(c) = cx.counters.as_mut() {
+                    let addr = cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes();
+                    c.access(op_id, addr, elem.size_bytes() as u8, mem.space, false);
                 }
             }
             DecodedOp::Store { val, mem, idx } => {
@@ -807,16 +1064,9 @@ impl<'f> Interp<'f> {
                 if !cx.mem.store_scalar(mem.buf, flat, f, i) {
                     return Err(SimError::new(format!("out-of-bounds store at {op_id:?}")));
                 }
-                if let Some(c) = cx.counters.as_deref_mut() {
-                    let occ = c.bump(op_id);
-                    c.events.push(MemEvent {
-                        op: op_id.index() as u32,
-                        occ,
-                        addr: cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes(),
-                        bytes: elem.size_bytes() as u8,
-                        space: mem.space,
-                        is_store: true,
-                    });
+                if let Some(c) = cx.counters.as_mut() {
+                    let addr = cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes();
+                    c.access(op_id, addr, elem.size_bytes() as u8, mem.space, true);
                 }
             }
             DecodedOp::Dim { out, mem, index } => {
@@ -826,7 +1076,7 @@ impl<'f> Interp<'f> {
             }
             DecodedOp::Invalid { bump, msg } => {
                 if *bump {
-                    if let Some(c) = cx.counters.as_deref_mut() {
+                    if let Some(c) = cx.counters.as_mut() {
                         c.bump(op_id);
                     }
                 }
@@ -838,79 +1088,94 @@ impl<'f> Interp<'f> {
     }
 }
 
+/// `a <pred> b`. `#[inline(always)]` so that a constant `pred` folds the
+/// `match` away inside a lane loop.
+#[inline(always)]
+pub(crate) fn compare<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> bool {
+    match pred {
+        CmpPred::Eq => a == b,
+        CmpPred::Ne => a != b,
+        CmpPred::Lt => a < b,
+        CmpPred::Le => a <= b,
+        CmpPred::Gt => a > b,
+        CmpPred::Ge => a >= b,
+    }
+}
+
 pub(crate) fn eval_cmp(pred: CmpPred, float: bool, l: RtVal, r: RtVal) -> Result<bool, SimError> {
     Ok(if float {
-        let (a, b) = (want_float(l)?, want_float(r)?);
-        match pred {
-            CmpPred::Eq => a == b,
-            CmpPred::Ne => a != b,
-            CmpPred::Lt => a < b,
-            CmpPred::Le => a <= b,
-            CmpPred::Gt => a > b,
-            CmpPred::Ge => a >= b,
-        }
+        compare(pred, want_float(l)?, want_float(r)?)
     } else {
-        let (a, b) = (want_int(l)?, want_int(r)?);
-        match pred {
-            CmpPred::Eq => a == b,
-            CmpPred::Ne => a != b,
-            CmpPred::Lt => a < b,
-            CmpPred::Le => a <= b,
-            CmpPred::Gt => a > b,
-            CmpPred::Ge => a >= b,
-        }
+        compare(pred, want_int(l)?, want_int(r)?)
     })
 }
 
-pub(crate) fn eval_binary(b: BinOp, ty: ScalarType, l: RtVal, r: RtVal) -> Result<RtVal, SimError> {
-    if ty.is_float() {
-        let (a, c) = (want_float(l)?, want_float(r)?);
-        let wide = match b {
-            BinOp::Add => a + c,
-            BinOp::Sub => a - c,
-            BinOp::Mul => a * c,
-            BinOp::Div => a / c,
-            BinOp::Rem => a % c,
-            BinOp::Min => a.min(c),
-            BinOp::Max => a.max(c),
-            BinOp::Pow => a.powf(c),
-            other => return Err(SimError::new(format!("{other:?} on floats"))),
-        };
-        let out = if ty == ScalarType::F32 {
-            wide as f32 as f64
-        } else {
-            wide
-        };
-        Ok(RtVal::Float(out))
+/// `f` rounded through `f32` when `single`.
+#[inline(always)]
+pub(crate) fn round_to(f: f64, single: bool) -> f64 {
+    if single {
+        f as f32 as f64
     } else {
-        let (a, c) = (want_int(l)?, want_int(r)?);
-        let wide = match b {
-            BinOp::Add => a.wrapping_add(c),
-            BinOp::Sub => a.wrapping_sub(c),
-            BinOp::Mul => a.wrapping_mul(c),
-            BinOp::Div => {
-                if c == 0 {
-                    return Err(SimError::new("integer division by zero"));
-                }
-                a.wrapping_div(c)
-            }
-            BinOp::Rem => {
-                if c == 0 {
-                    return Err(SimError::new("integer remainder by zero"));
-                }
-                a.wrapping_rem(c)
-            }
-            BinOp::And => a & c,
-            BinOp::Or => a | c,
-            BinOp::Xor => a ^ c,
-            BinOp::Shl => a.wrapping_shl(c as u32 & 63),
-            BinOp::Shr => a.wrapping_shr(c as u32 & 63),
-            BinOp::Min => a.min(c),
-            BinOp::Max => a.max(c),
-            BinOp::Pow => return Err(SimError::new("pow on integers")),
-        };
-        Ok(RtVal::Int(truncate_int(wide, ty)))
+        f
     }
+}
+
+/// One float binary op; see [`compare`] for the inlining.
+#[inline(always)]
+pub(crate) fn float_binary(b: BinOp, single: bool, a: f64, c: f64) -> Result<f64, SimError> {
+    let wide = match b {
+        BinOp::Add => a + c,
+        BinOp::Sub => a - c,
+        BinOp::Mul => a * c,
+        BinOp::Div => a / c,
+        BinOp::Rem => a % c,
+        BinOp::Min => a.min(c),
+        BinOp::Max => a.max(c),
+        BinOp::Pow => a.powf(c),
+        other => return Err(SimError::new(format!("{other:?} on floats"))),
+    };
+    Ok(round_to(wide, single))
+}
+
+/// One integer binary op, truncated to `ty`; see [`compare`] for the
+/// inlining. Only `Div`, `Rem` and `Pow` can fail.
+#[inline(always)]
+pub(crate) fn int_binary(b: BinOp, ty: ScalarType, a: i64, c: i64) -> Result<i64, SimError> {
+    let wide = match b {
+        BinOp::Add => a.wrapping_add(c),
+        BinOp::Sub => a.wrapping_sub(c),
+        BinOp::Mul => a.wrapping_mul(c),
+        BinOp::Div => {
+            if c == 0 {
+                return Err(SimError::new("integer division by zero"));
+            }
+            a.wrapping_div(c)
+        }
+        BinOp::Rem => {
+            if c == 0 {
+                return Err(SimError::new("integer remainder by zero"));
+            }
+            a.wrapping_rem(c)
+        }
+        BinOp::And => a & c,
+        BinOp::Or => a | c,
+        BinOp::Xor => a ^ c,
+        BinOp::Shl => a.wrapping_shl(c as u32 & 63),
+        BinOp::Shr => a.wrapping_shr(c as u32 & 63),
+        BinOp::Min => a.min(c),
+        BinOp::Max => a.max(c),
+        BinOp::Pow => return Err(SimError::new("pow on integers")),
+    };
+    Ok(truncate_int(wide, ty))
+}
+
+pub(crate) fn eval_binary(b: BinOp, num: Num, l: RtVal, r: RtVal) -> Result<RtVal, SimError> {
+    Ok(match num {
+        Num::Float { single } => {
+            RtVal::Float(float_binary(b, single, want_float(l)?, want_float(r)?)?)
+        }
+        Num::Int(ty) => RtVal::Int(int_binary(b, ty, want_int(l)?, want_int(r)?)?),
+    })
 }
 
 pub(crate) fn eval_unary(u: UnOp, ty: ScalarType, v: RtVal) -> Result<RtVal, SimError> {
@@ -930,12 +1195,7 @@ pub(crate) fn eval_unary(u: UnOp, ty: ScalarType, v: RtVal) -> Result<RtVal, Sim
             UnOp::Ceil => a.ceil(),
             UnOp::Not => return Err(SimError::new("logical not on a float")),
         };
-        let out = if ty == ScalarType::F32 {
-            wide as f32 as f64
-        } else {
-            wide
-        };
-        Ok(RtVal::Float(out))
+        Ok(RtVal::Float(round_to(wide, ty == ScalarType::F32)))
     } else {
         let a = want_int(v)?;
         let out = match u {
@@ -954,6 +1214,7 @@ pub(crate) fn eval_unary(u: UnOp, ty: ScalarType, v: RtVal) -> Result<RtVal, Sim
     }
 }
 
+#[inline(always)]
 pub(crate) fn truncate_int(v: i64, ty: ScalarType) -> i64 {
     match ty {
         ScalarType::I1 => v & 1,
@@ -962,26 +1223,29 @@ pub(crate) fn truncate_int(v: i64, ty: ScalarType) -> i64 {
     }
 }
 
-pub(crate) fn cast_value(v: RtVal, from: ScalarType, to: ScalarType) -> Result<RtVal, SimError> {
-    Ok(match (from.is_float(), to.is_float()) {
-        (true, true) => {
-            let f = want_float(v)?;
-            RtVal::Float(if to == ScalarType::F32 {
-                f as f32 as f64
-            } else {
-                f
-            })
-        }
-        (true, false) => RtVal::Int(truncate_int(want_float(v)? as i64, to)),
-        (false, true) => {
-            let f = want_int(v)? as f64;
-            RtVal::Float(if to == ScalarType::F32 {
-                f as f32 as f64
-            } else {
-                f
-            })
-        }
-        (false, false) => RtVal::Int(truncate_int(want_int(v)?, to)),
+/// A float cast to the domain `to`; see [`compare`] for the inlining.
+#[inline(always)]
+pub(crate) fn cast_float(f: f64, to: Num) -> RtVal {
+    match to {
+        Num::Float { single } => RtVal::Float(round_to(f, single)),
+        Num::Int(ty) => RtVal::Int(truncate_int(f as i64, ty)),
+    }
+}
+
+/// An integer cast to the domain `to`; see [`compare`] for the inlining.
+#[inline(always)]
+pub(crate) fn cast_int(i: i64, to: Num) -> RtVal {
+    match to {
+        Num::Float { single } => RtVal::Float(round_to(i as f64, single)),
+        Num::Int(ty) => RtVal::Int(truncate_int(i, ty)),
+    }
+}
+
+pub(crate) fn cast_value(v: RtVal, from_float: bool, to: Num) -> Result<RtVal, SimError> {
+    Ok(if from_float {
+        cast_float(want_float(v)?, to)
+    } else {
+        cast_int(want_int(v)?, to)
     })
 }
 
@@ -1139,16 +1403,17 @@ mod tests {
             func.params()[0],
             RtVal::Mem(MemVal::new(buf, 1, [4, 1, 1], MemSpace::Global)),
         );
-        let mut counters = ThreadCounters::new(func.num_ops());
+        let mut counters = WarpCounters::new(func.num_ops(), 1);
+        counters.reset(1, true);
         let mut cx = StepCx {
             mem: &mut mem,
             parents: &[],
-            counters: Some(&mut counters),
+            counters: Some(counters.lane(0)),
             record_allocs: None,
         };
         interp.run_serial(&mut cx).unwrap();
         // 4 loads + 4 stores with increasing occurrence numbers.
-        let loads: Vec<_> = counters.events.iter().filter(|e| !e.is_store).collect();
+        let loads: Vec<_> = counters.events(0).iter().filter(|e| !e.is_store).collect();
         assert_eq!(loads.len(), 4);
         assert_eq!(loads[0].occ, 0);
         assert_eq!(loads[3].occ, 3);

@@ -3,6 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use respec_ir::{diag, Diagnostic, Function, MemSpace, OpId, Value};
 use respec_trace::Trace;
@@ -10,7 +11,7 @@ use respec_trace::Trace;
 use crate::cache::Cache;
 use crate::decoded::DecodedProgram;
 use crate::fault::{self, FaultKind, FaultPlan, FaultSite};
-use crate::interp::{want_int, Interp, SimError, StepCx, StepEvent, ThreadCounters};
+use crate::interp::{want_int, Interp, SimError, StepCx, StepEvent, WarpCounters};
 use crate::memory::{BufferId, DeviceMemory};
 use crate::occupancy::{occupancy, BlockResources, Occupancy};
 use crate::stats::{ExecStats, WarpMerger};
@@ -163,6 +164,40 @@ impl ExecCounters {
     }
 }
 
+/// Where the *host's* time went in a launch, in nanoseconds of wall clock:
+/// the simulator's own cost, measured with coarse `Instant` pairs (one per
+/// warp phase, one per merge). Like [`ExecCounters`] it describes the
+/// simulator, not the simulated machine, and is outside the determinism
+/// contract: two identical launches report different values.
+///
+/// What the four fields leave of a launch's wall time is the host- and
+/// block-scope interpreter and the launch bookkeeping.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostTime {
+    /// Decoding the kernel and building the interpreter scratch.
+    pub setup_ns: u64,
+    /// Functional execution of the thread level: warp phases and scalar lanes.
+    pub exec_ns: u64,
+    /// Merging warp phases: issue counts, coalescing, bank conflicts, caches.
+    pub account_ns: u64,
+    /// Occupancy and the analytic timing estimate.
+    pub model_ns: u64,
+}
+
+impl HostTime {
+    fn accumulate(&mut self, other: &HostTime) {
+        self.setup_ns += other.setup_ns;
+        self.exec_ns += other.exec_ns;
+        self.account_ns += other.account_ns;
+        self.model_ns += other.model_ns;
+    }
+}
+
+/// Nanoseconds since `since`, saturating.
+fn ns_since(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Result of one simulated kernel launch.
 #[derive(Clone, Debug)]
 pub struct LaunchReport {
@@ -182,6 +217,8 @@ pub struct LaunchReport {
     pub races: Vec<RaceRecord>,
     /// Executor counters of this launch.
     pub exec: ExecCounters,
+    /// Host time of this launch by phase.
+    pub host: HostTime,
 }
 
 /// A simulated GPU: device memory, cache hierarchy, a target description and
@@ -202,6 +239,7 @@ pub struct GpuSim {
     pub launch_log: Vec<KernelTiming>,
     total_stats: ExecStats,
     total_exec: ExecCounters,
+    total_host: HostTime,
     trace: Trace,
     sanitize_shared: bool,
     races: Vec<RaceRecord>,
@@ -244,6 +282,7 @@ impl GpuSim {
             launch_log: Vec::new(),
             total_stats: ExecStats::default(),
             total_exec: ExecCounters::default(),
+            total_host: HostTime::default(),
             trace: Trace::disabled(),
             sanitize_shared: false,
             races: Vec::new(),
@@ -312,6 +351,11 @@ impl GpuSim {
     /// Executor counters summed over every launch so far.
     pub fn exec_counters(&self) -> ExecCounters {
         self.total_exec
+    }
+
+    /// Host time by launch phase, summed over every launch so far.
+    pub fn host_time(&self) -> HostTime {
+        self.total_host
     }
 
     /// Total kernel time of all launches of `name` (the paper's *kernel*
@@ -410,16 +454,24 @@ impl GpuSim {
         span.record("grid", format!("{}x{}x{}", grid[0], grid[1], grid[2]));
         span.record("regs_per_thread", regs_per_thread);
         let params = func.params().to_vec();
-        if params.len() != args.len() + 3 {
+        let Some(expected) = params.len().checked_sub(3) else {
             return Err(SimError::new(format!(
-                "kernel {} expects {} arguments, got {}",
+                "kernel {} has no grid parameters: its first three parameters \
+                 must be the grid extents, found {}",
                 func.name(),
-                params.len() - 3,
+                params.len()
+            )));
+        };
+        if expected != args.len() {
+            return Err(SimError::new(format!(
+                "kernel {} expects {expected} arguments, got {}",
+                func.name(),
                 args.len()
             )));
         }
         // Decode the kernel once; every interpreter of this launch — host,
         // block, per-thread scalar and per-warp vectorized — shares it.
+        let setup_start = Instant::now();
         let program = Arc::new(DecodedProgram::decode(func));
         let mut host = Interp::with_program(func, Arc::clone(&program), func.body());
         for (d, p) in params[..3].iter().enumerate() {
@@ -447,12 +499,14 @@ impl GpuSim {
                 pool: Vec::new(),
                 counter_pool: Vec::new(),
                 warp_pool: Vec::new(),
-                merger: WarpMerger::new(func),
+                merger: WarpMerger::default(),
                 program: Arc::clone(&program),
                 exec: ExecCounters::default(),
+                host: HostTime::default(),
             },
             block_interp: Interp::with_program(func, program, func.body()),
         };
+        scratch.threads.host.setup_ns = ns_since(setup_start);
 
         let mut stats = ExecStats::default();
         let mut dominant: Option<(Timing, Occupancy, u64)> = None;
@@ -500,7 +554,9 @@ impl GpuSim {
         };
         // Total time: sum of segment estimates ≈ recompute over accumulated
         // stats of the dominant occupancy (segments run back-to-back).
+        let model_start = Instant::now();
         let total_timing = estimate(&self.target, &stats, &occ, total_blocks.max(1));
+        scratch.threads.host.model_ns += ns_since(model_start);
         let mut seconds = total_timing.seconds;
         if let Some(f) = plan.decide(FaultSite::Timing, fault_key, fault_seq) {
             self.trace.instant(
@@ -517,10 +573,11 @@ impl GpuSim {
                 _ => {}
             }
         }
-        let exec = scratch.threads.exec;
+        let (exec, host_time) = (scratch.threads.exec, scratch.threads.host);
         self.elapsed_seconds += seconds + LAUNCH_OVERHEAD_S;
         self.total_stats.accumulate(&stats);
         self.total_exec.accumulate(&exec);
+        self.total_host.accumulate(&host_time);
         self.launch_log.push(KernelTiming {
             kernel: func.name().to_string(),
             seconds,
@@ -576,6 +633,10 @@ impl GpuSim {
             span.record("warp_phases", exec.warp_phases);
             span.record("masked_branches", exec.masked_branches);
             span.record("despooled_warps", exec.despooled_warps);
+            span.record("host:setup_ns", host_time.setup_ns);
+            span.record("host:exec_ns", host_time.exec_ns);
+            span.record("host:account_ns", host_time.account_ns);
+            span.record("host:model_ns", host_time.model_ns);
             if opts.sanitize_shared {
                 let n = sanitizer.as_ref().map_or(0, |s| s.races.len());
                 span.record("sanitizer_races", n as u64);
@@ -592,6 +653,7 @@ impl GpuSim {
             blocks: total_blocks,
             races,
             exec,
+            host: host_time,
         })
     }
 
@@ -694,8 +756,10 @@ impl GpuSim {
             regs_per_thread,
             shared_bytes: shared_bytes_seen,
         };
+        let model_start = Instant::now();
         let occ = occupancy(&self.target, res).map_err(|e| SimError::new(e.to_string()))?;
         let timing = estimate(&self.target, &stats, &occ, blocks.max(1));
+        scratch.threads.host.model_ns += ns_since(model_start);
         Ok(Segment {
             stats,
             timing,
@@ -728,14 +792,14 @@ impl GpuSim {
             }
         }
         let threads: usize = extents.iter().take(rank.max(1)).product::<i64>() as usize;
-        while scratch.counter_pool.len() < threads {
-            scratch
-                .counter_pool
-                .push(ThreadCounters::new(func.num_ops()));
-        }
 
         let warp_size = self.target.warp_size as usize;
         let warps = threads.div_ceil(warp_size);
+        while scratch.counter_pool.len() < warps {
+            scratch
+                .counter_pool
+                .push(WarpCounters::new(func.num_ops(), warp_size));
+        }
 
         // Regions that allocate must run per-lane from the start so buffer
         // ids are handed out in scalar order; everything else starts in
@@ -777,13 +841,16 @@ impl GpuSim {
                     region,
                 ));
             }
-            // Initialize every thread.
+            // Initialize every thread; scalar lanes count per lane.
             for (t, interp) in scratch.pool.iter_mut().enumerate().take(threads) {
                 interp.restart(region);
                 let ivs = ivs_of(t);
                 for (d, a) in args.iter().enumerate() {
                     interp.store.set(*a, RtVal::Int(ivs[d]));
                 }
+            }
+            for (w, counters) in scratch.counter_pool.iter_mut().enumerate().take(warps) {
+                counters.reset(((w + 1) * warp_size).min(threads) - w * warp_size, true);
             }
         }
         // Warps that have despooled to per-lane scalar execution (vectorized
@@ -804,17 +871,39 @@ impl GpuSim {
             for (w, despooled_w) in despooled.iter_mut().enumerate() {
                 let lo = w * warp_size;
                 let hi = ((w + 1) * warp_size).min(threads);
+                let counters = &mut scratch.counter_pool[w];
+                let parents: [&Store; 2] = [block_store, host_store];
+                // Runs scalar lane `t` of this warp to its next barrier.
+                let run_lane = |mem: &mut DeviceMemory,
+                                pool: &mut [Interp<'f>],
+                                counters: &mut WarpCounters,
+                                t: usize|
+                 -> Result<bool, SimError> {
+                    let mut cx = StepCx {
+                        mem,
+                        parents: &parents,
+                        counters: Some(counters.lane(t - lo)),
+                        record_allocs: None,
+                    };
+                    match pool[t].run_phase(&mut cx)? {
+                        StepEvent::Done => Ok(true),
+                        StepEvent::Barrier => Ok(false),
+                        StepEvent::Launch(_) => Err(SimError::new(
+                            "parallel loop nested inside the thread level",
+                        )),
+                        StepEvent::Ran => unreachable!("run_phase filters Ran"),
+                    }
+                };
+                let exec_start = Instant::now();
                 if !*despooled_w {
-                    let done = scratch.warp_pool[w].is_done();
-                    if !done {
-                        for t in lo..hi {
-                            scratch.counter_pool[t].reset();
-                        }
+                    if !scratch.warp_pool[w].is_done() {
+                        // The sanitizer reads per-lane events.
+                        counters.reset(hi - lo, sanitizer.is_some());
                         let phase = {
                             let mut cx = WarpCx {
                                 mem: &mut self.mem,
-                                parents: &[block_store, host_store],
-                                counters: &mut scratch.counter_pool[lo..hi],
+                                parents: &parents,
+                                counters,
                                 masked_branches: &mut scratch.exec.masked_branches,
                             };
                             scratch.warp_pool[w].run_phase(&mut cx)?
@@ -827,8 +916,8 @@ impl GpuSim {
                             WarpPhase::Diverged => {
                                 // Despool every lane into a scalar machine —
                                 // the program counter sits *at* the divergent
-                                // op — and finish the phase per lane without
-                                // resetting the partial counters.
+                                // op — and finish the phase per lane on top
+                                // of the counts and accesses so far.
                                 while scratch.pool.len() < hi {
                                     scratch.pool.push(Interp::with_program(
                                         func,
@@ -842,32 +931,16 @@ impl GpuSim {
                                 }
                                 *despooled_w = true;
                                 scratch.exec.despooled_warps += 1;
+                                counters.spill();
                                 for t in lo..hi {
-                                    let ev = {
-                                        let mut cx = StepCx {
-                                            mem: &mut self.mem,
-                                            parents: &[block_store, host_store],
-                                            counters: Some(&mut scratch.counter_pool[t]),
-                                            record_allocs: None,
-                                        };
-                                        scratch.pool[t].run_phase(&mut cx)?
-                                    };
-                                    match ev {
-                                        StepEvent::Done => {}
-                                        StepEvent::Barrier => all_done = false,
-                                        StepEvent::Launch(_) => {
-                                            return Err(SimError::new(
-                                                "parallel loop nested inside the thread level",
-                                            ))
-                                        }
-                                        StepEvent::Ran => unreachable!("run_phase filters Ran"),
-                                    }
+                                    all_done &=
+                                        run_lane(&mut self.mem, &mut scratch.pool, counters, t)?;
                                 }
                             }
                         }
                         if let Some(s) = sanitizer.as_mut() {
                             for t in lo..hi {
-                                s.observe(t as u32, &scratch.counter_pool[t].events);
+                                s.observe(t as u32, counters.events(t - lo));
                             }
                         }
                     }
@@ -876,42 +949,28 @@ impl GpuSim {
                         if scratch.pool[t].is_done() {
                             continue;
                         }
-                        scratch.counter_pool[t].reset();
-                        let ev = {
-                            let mut cx = StepCx {
-                                mem: &mut self.mem,
-                                parents: &[block_store, host_store],
-                                counters: Some(&mut scratch.counter_pool[t]),
-                                record_allocs: None,
-                            };
-                            scratch.pool[t].run_phase(&mut cx)?
-                        };
+                        counters.reset_lane(t - lo);
+                        all_done &= run_lane(&mut self.mem, &mut scratch.pool, counters, t)?;
                         any_progress = true;
                         if let Some(s) = sanitizer.as_mut() {
-                            s.observe(t as u32, &scratch.counter_pool[t].events);
-                        }
-                        match ev {
-                            StepEvent::Done => {}
-                            StepEvent::Barrier => all_done = false,
-                            StepEvent::Launch(_) => {
-                                return Err(SimError::new(
-                                    "parallel loop nested inside the thread level",
-                                ))
-                            }
-                            StepEvent::Ran => unreachable!("run_phase filters Ran"),
+                            s.observe(t as u32, counters.events(t - lo));
                         }
                     }
                 }
+                scratch.host.exec_ns += ns_since(exec_start);
+                let account_start = Instant::now();
                 // Merge this warp's phase (unconditionally, exactly like the
                 // per-thread reference loop, which also re-merges the stale
                 // final-phase counters of warps that finished early).
                 scratch.merger.merge_warp_phase(
+                    &scratch.program.classes,
                     &self.target,
-                    &scratch.counter_pool[lo..hi],
+                    counters,
                     &mut self.l1[sm_id],
                     &mut self.l2,
                     stats,
                 );
+                scratch.host.account_ns += ns_since(account_start);
             }
             if all_done {
                 break;
@@ -958,14 +1017,16 @@ struct ThreadScratch<'f> {
     program: Arc<DecodedProgram>,
     /// Scalar per-thread interpreters (grown to the widest block seen).
     pool: Vec<Interp<'f>>,
-    /// Per-thread counters (grown to the widest block seen).
-    counter_pool: Vec<ThreadCounters>,
+    /// Per-warp counters (grown to the widest block seen).
+    counter_pool: Vec<WarpCounters>,
     /// Warp lock-step machines, one per warp of the widest block seen.
     warp_pool: Vec<WarpInterp<'f>>,
     /// Warp statistics merger (per-op instruction classes precomputed once).
     merger: WarpMerger,
     /// Executor counters of this launch.
     exec: ExecCounters,
+    /// Host time of this launch.
+    host: HostTime,
 }
 
 /// Per-launch interpreter scratch: allocated once in
@@ -1634,6 +1695,18 @@ mod tests {
         let mut sim = GpuSim::new(a100());
         let err = sim.launch(&func, [1, 1, 1], &[], 32).unwrap_err();
         assert!(err.message.contains("expects"));
+    }
+
+    #[test]
+    fn kernel_without_grid_parameters_is_an_error() {
+        let func = respec_ir::parse_function("func @k(%a: index) {\n  return\n}").unwrap();
+        let mut sim = GpuSim::new(a100());
+        let err = sim.launch(&func, [1, 1, 1], &[], 32).unwrap_err();
+        assert!(
+            err.message.contains("has no grid parameters"),
+            "{}",
+            err.message
+        );
     }
 
     fn saxpy_args(sim: &mut GpuSim, n: usize) -> Vec<KernelArg> {

@@ -61,16 +61,16 @@ mod warp;
 pub use cache::{bank_conflict_factor, coalesce_sectors, Cache};
 pub use fault::{EnvConfigError, Fault, FaultKind, FaultPlan, FaultSite, FaultSpec};
 pub use interp::{
-    classify, InstClass, Interp, MemEvent, SimError, StepCx, StepEvent, ThreadCounters,
+    classify, InstClass, Interp, LaneCounters, MemEvent, SimError, StepCx, StepEvent, WarpCounters,
     INTERP_BUILDS,
 };
 pub use launch::{
-    ExecCounters, ExecMode, GpuSim, KernelArg, KernelTiming, LaunchOptions, LaunchReport,
+    ExecCounters, ExecMode, GpuSim, HostTime, KernelArg, KernelTiming, LaunchOptions, LaunchReport,
     RaceRecord,
 };
 pub use memory::{BufferId, DeviceMemory};
 pub use occupancy::{occupancy, BlockResources, Infeasible, Limiter, Occupancy};
-pub use stats::{merge_warp_phase, replay_access, ExecStats, WarpMerger, NUM_CLASSES};
+pub use stats::{replay_access, ExecStats, NUM_CLASSES};
 pub use target::{CpuTargetDesc, TargetDesc, TargetKind, TargetModel, Vendor};
 pub use timing::{estimate, Timing, LAUNCH_OVERHEAD_S};
 pub use value::{MemVal, RtVal, Store};

@@ -185,61 +185,59 @@ impl DeviceMemory {
     ///
     /// Returns `None` for out-of-bounds accesses.
     pub fn load_scalar(&self, id: BufferId, idx: i64) -> Option<(f64, i64)> {
-        let b = &self.buffers[id.0 as usize];
-        let sz = b.elem.size_bytes() as usize;
-        if idx < 0 {
-            return None;
-        }
-        let off = idx as usize * sz;
-        if off + sz > b.data.len() {
-            return None;
-        }
-        let bytes = &b.data[off..off + sz];
-        Some(match b.elem {
-            ScalarType::F32 => (
-                f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as f64,
-                0,
-            ),
-            ScalarType::F64 => (
-                f64::from_le_bytes([
-                    bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-                ]),
-                0,
-            ),
-            ScalarType::I32 => (
-                0.0,
-                i32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as i64,
-            ),
-            ScalarType::I64 | ScalarType::Index => (
-                0.0,
-                i64::from_le_bytes([
-                    bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-                ]),
-            ),
-            ScalarType::I1 => (0.0, bytes[0] as i64),
-        })
+        self.buffers[id.0 as usize].load(idx)
     }
 
     /// Stores a scalar at flat index `idx`; `f` is used for float buffers and
     /// `i` for integer buffers. Returns `false` for out-of-bounds accesses.
     pub fn store_scalar(&mut self, id: BufferId, idx: i64, f: f64, i: i64) -> bool {
-        let b = &mut self.buffers[id.0 as usize];
-        let sz = b.elem.size_bytes() as usize;
-        if idx < 0 {
+        self.buffers[id.0 as usize].store(idx, f, i)
+    }
+
+    /// The buffer itself: one lookup for a whole warp access.
+    #[inline]
+    pub(crate) fn buffer_mut(&mut self, id: BufferId) -> &mut Buffer {
+        &mut self.buffers[id.0 as usize]
+    }
+}
+
+impl Buffer {
+    /// Byte range of element `idx`, if it is in bounds.
+    #[inline(always)]
+    fn range(&self, idx: i64) -> Option<std::ops::Range<usize>> {
+        let sz = self.elem.size_bytes() as usize;
+        let off = usize::try_from(idx).ok()?.checked_mul(sz)?;
+        (off + sz <= self.data.len()).then_some(off..off + sz)
+    }
+
+    /// See [`DeviceMemory::load_scalar`].
+    #[inline(always)]
+    pub(crate) fn load(&self, idx: i64) -> Option<(f64, i64)> {
+        let bytes = &self.data[self.range(idx)?];
+        let word = |b: &[u8]| <[u8; 4]>::try_from(b).expect("4-byte element");
+        let wide = |b: &[u8]| <[u8; 8]>::try_from(b).expect("8-byte element");
+        Some(match self.elem {
+            ScalarType::F32 => (f32::from_le_bytes(word(bytes)) as f64, 0),
+            ScalarType::F64 => (f64::from_le_bytes(wide(bytes)), 0),
+            ScalarType::I32 => (0.0, i32::from_le_bytes(word(bytes)) as i64),
+            ScalarType::I64 | ScalarType::Index => (0.0, i64::from_le_bytes(wide(bytes))),
+            ScalarType::I1 => (0.0, bytes[0] as i64),
+        })
+    }
+
+    /// See [`DeviceMemory::store_scalar`].
+    #[inline(always)]
+    pub(crate) fn store(&mut self, idx: i64, f: f64, i: i64) -> bool {
+        let Some(range) = self.range(idx) else {
             return false;
-        }
-        let off = idx as usize * sz;
-        if off + sz > b.data.len() {
-            return false;
-        }
-        match b.elem {
-            ScalarType::F32 => b.data[off..off + 4].copy_from_slice(&(f as f32).to_le_bytes()),
-            ScalarType::F64 => b.data[off..off + 8].copy_from_slice(&f.to_le_bytes()),
-            ScalarType::I32 => b.data[off..off + 4].copy_from_slice(&(i as i32).to_le_bytes()),
-            ScalarType::I64 | ScalarType::Index => {
-                b.data[off..off + 8].copy_from_slice(&i.to_le_bytes())
-            }
-            ScalarType::I1 => b.data[off] = (i != 0) as u8,
+        };
+        let bytes = &mut self.data[range];
+        match self.elem {
+            ScalarType::F32 => bytes.copy_from_slice(&(f as f32).to_le_bytes()),
+            ScalarType::F64 => bytes.copy_from_slice(&f.to_le_bytes()),
+            ScalarType::I32 => bytes.copy_from_slice(&(i as i32).to_le_bytes()),
+            ScalarType::I64 | ScalarType::Index => bytes.copy_from_slice(&i.to_le_bytes()),
+            ScalarType::I1 => bytes[0] = (i != 0) as u8,
         }
         true
     }

@@ -4,10 +4,10 @@
 
 use std::collections::HashMap;
 
-use respec_ir::{Function, MemSpace, OpId};
+use respec_ir::MemSpace;
 
 use crate::cache::{bank_conflict_factor_with, coalesce_sectors_into, Cache};
-use crate::interp::{classify, InstClass, ThreadCounters};
+use crate::interp::{InstClass, WarpCounters};
 use crate::target::TargetDesc;
 
 /// Number of instruction classes.
@@ -222,12 +222,8 @@ impl AccessScratch {
 
 /// Reusable warp-phase merger: owns the scratch structures so the per-phase
 /// merge allocates nothing in steady state.
-#[derive(Clone, Debug)]
-pub struct WarpMerger {
-    /// Per-op instruction class, precomputed once per launch.
-    classes: Vec<Option<InstClass>>,
-    issue_max: Vec<u32>,
-    touched: Vec<u32>,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WarpMerger {
     group_index: HashMap<u64, u32, IntHasherBuilder>,
     groups: Vec<AccessGroup>,
     group_count: usize,
@@ -235,65 +231,55 @@ pub struct WarpMerger {
 }
 
 impl WarpMerger {
-    /// Creates a merger for one kernel function.
-    pub fn new(func: &Function) -> WarpMerger {
-        let classes = (0..func.num_ops())
-            .map(|i| classify(func, OpId::from_index(i)))
-            .collect::<Vec<_>>();
-        let n = classes.len();
-        WarpMerger {
-            classes,
-            issue_max: vec![0; n],
-            touched: Vec::new(),
-            group_index: HashMap::with_hasher(IntHasherBuilder),
-            groups: Vec::new(),
-            group_count: 0,
-            access: AccessScratch::default(),
-        }
-    }
-
-    /// Merges one warp's per-thread phase counters into the launch
-    /// statistics, running coalescing, bank-conflict analysis and the cache
-    /// hierarchy.
+    /// Merges one warp's phase counters into the launch statistics, running
+    /// coalescing, bank-conflict analysis and the cache hierarchy. `classes`
+    /// is the decoded program's per-op instruction class.
     ///
     /// Instruction issues are warp-level: the same static op at the same
     /// occurrence across lanes is one issue; divergent extra iterations
     /// issue separately (`max` over lanes).
-    pub fn merge_warp_phase(
+    ///
+    /// Memory accesses reach the caches one `(op, occurrence)` group at a
+    /// time, in order of first appearance scanning lane 0's accesses, then
+    /// lane 1's, and so on. Access records are such groups already; in
+    /// program order that is a stable sort by lowest lane.
+    pub(crate) fn merge_warp_phase(
         &mut self,
+        classes: &[Option<InstClass>],
         target: &TargetDesc,
-        threads: &[ThreadCounters],
+        warp: &mut WarpCounters,
         l1: &mut Cache,
         l2: &mut Cache,
         stats: &mut ExecStats,
     ) {
-        // ---- instruction issues: max occurrence count per op over lanes ----
-        for t in threads {
-            for (op, count) in t.issues() {
-                let slot = &mut self.issue_max[op as usize];
-                if *slot == 0 {
-                    self.touched.push(op);
-                }
-                *slot = (*slot).max(count);
-            }
-        }
-        for &op in &self.touched {
-            let count = self.issue_max[op as usize];
-            self.issue_max[op as usize] = 0;
-            if let Some(class) = self.classes[op as usize] {
-                stats.issues[class_index(class)] += count as u64;
+        for &op in &warp.touched {
+            if let Some(class) = classes[op as usize] {
+                let count = warp.issue_count(op as usize) as u64;
+                stats.issues[class_index(class)] += count;
                 if class == InstClass::Barrier {
-                    stats.barrier_waits += count as u64;
+                    stats.barrier_waits += count;
                 }
             }
         }
-        self.touched.clear();
 
-        // ---- memory accesses: group events by (op, occ) across lanes ----
+        if !warp.per_lane {
+            if !warp.ordered {
+                warp.records.sort_by_key(|r| r.first_lane);
+                warp.ordered = true;
+            }
+            for r in &warp.records {
+                let lanes = &warp.lanes_of[r.start as usize..][..r.len as usize];
+                self.access
+                    .account_access(target, lanes, r.is_store, r.shared, l1, l2, stats);
+            }
+            return;
+        }
+
+        // Event lists: group by (op, occ) across lanes.
         self.group_index.clear();
         self.group_count = 0;
-        for t in threads {
-            for ev in &t.events {
+        for lane in 0..warp.lanes {
+            for ev in warp.events(lane) {
                 let key = (ev.op as u64) << 32 | ev.occ as u64;
                 let idx = *self.group_index.entry(key).or_insert_with(|| {
                     if self.groups.len() == self.group_count {
@@ -320,19 +306,6 @@ impl WarpMerger {
             );
         }
     }
-}
-
-/// One-shot convenience wrapper over [`WarpMerger`] (tests and small
-/// callers; launches keep a reusable merger).
-pub fn merge_warp_phase(
-    func: &Function,
-    target: &TargetDesc,
-    threads: &[ThreadCounters],
-    l1: &mut Cache,
-    l2: &mut Cache,
-    stats: &mut ExecStats,
-) {
-    WarpMerger::new(func).merge_warp_phase(target, threads, l1, l2, stats);
 }
 
 /// Convenience: replays a single warp access pattern (unit tests and the

@@ -3,8 +3,21 @@
 //!
 //! Instead of one [`Interp`] per thread re-walking the region tree, a
 //! [`WarpInterp`] keeps a *single* frame stack and a flat value-major
-//! register file `vals[value * stride + lane]`, so the per-op cost is one
-//! decoded-op dispatch plus a tight lane loop.
+//! register file `vals[value * stride + lane]`. Everything that is a
+//! property of the warp-op rather than of a lane is done once per warp-op:
+//!
+//! * **Operands** are resolved once ([`Opd`]) to a lane plane or to one
+//!   uniform value. A value not bound in the warp (kernel arguments,
+//!   block-scope values) is uniform by construction; a value computed in the
+//!   warp from uniform operands only is kept uniform too — one evaluation,
+//!   one slot — so constants, induction variables of uniform loops and the
+//!   index arithmetic on them cost one lane, not a warp of them.
+//! * **The lane kernel** — the `(op, type)` decode resolved ([`Num`], a
+//!   cast's two domains, a comparison's predicate and domain) — is turned
+//!   into one specialised lane loop by [`per_variant!`], outside the loop.
+//! * **Issues and memory accesses** are counted per warp ([`WarpCounters`]):
+//!   one warp-level count for an op at full mask, one access record for a
+//!   load or store.
 //!
 //! Divergence is detected *before* any state is mutated: at a `for` header,
 //! an `if` condition, a `while` condition flag, and at `alloc` (allocation
@@ -17,9 +30,9 @@
 //!   that took it, then its else-arm under the rest, and reconverges at the
 //!   op's end; a `for` whose bounds differ per lane keeps per-lane induction
 //!   state and drops a lane from the mask when its trip count is spent. Only
-//!   active lanes bump their [`ThreadCounters`] and push [`MemEvent`]s, so
-//!   each lane executes the same ops the same number of times in the same
-//!   order as a scalar machine would.
+//!   active lanes are counted and appear in an access, so each lane executes
+//!   the same ops the same number of times in the same order as a scalar
+//!   machine would.
 //! * **Anything else** — the warp reports [`WarpPhase::Diverged`] with the
 //!   program counter still pointing *at* the divergent op; the launcher
 //!   despools every lane into a scalar [`Interp`] (via
@@ -37,26 +50,59 @@
 
 use std::sync::Arc;
 
-use respec_ir::{Function, OpId, RegionId, Value};
+use respec_ir::{BinOp, CmpPred, Function, OpId, RegionId, Value};
 
-use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Slot};
+use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Num, Slot};
 use crate::interp::{
-    eval_binary, eval_cmp, eval_unary, want_int, want_mem, Frame, FrameKind, Interp, MemEvent,
-    SimError, ThreadCounters,
+    cast_float, cast_int, compare, eval_unary, float_binary, int_binary, want_float, want_int,
+    want_mem, Frame, FrameKind, Interp, SimError, WarpCounters,
 };
 use crate::memory::DeviceMemory;
 use crate::value::{RtVal, Store};
 
-/// Execution context for one warp phase. Mirrors `StepCx` but carries one
-/// counter set per lane; warps never record allocations (alloc despools).
+/// Execution context for one warp phase. Mirrors `StepCx` but counts per
+/// warp; warps never record allocations (alloc despools).
 pub(crate) struct WarpCx<'a> {
     pub(crate) mem: &'a mut DeviceMemory,
     /// Value stores of enclosing scopes (innermost first).
     pub(crate) parents: &'a [&'a Store],
-    /// Per-lane counters; `counters.len()` equals the lane count.
-    pub(crate) counters: &'a mut [ThreadCounters],
+    pub(crate) counters: &'a mut WarpCounters,
     /// Divergent maskable branches entered (observability only).
     pub(crate) masked_branches: &'a mut u64,
+}
+
+/// An operand resolved once for a whole warp-op. `T` is the payload kind it
+/// was resolved as: a uniform value is kind-checked at resolution, a plane
+/// lane by lane as it is read.
+#[derive(Clone, Copy)]
+enum Opd<T = RtVal> {
+    /// One value per lane: `vals[base + lane]`.
+    Plane(usize),
+    /// The same value in every active lane: bound in an enclosing scope
+    /// (kernel arguments, block-scope values), or computed in the warp from
+    /// uniform operands only.
+    Uni(T),
+}
+
+impl<T> Opd<T> {
+    fn is_uniform(&self) -> bool {
+        matches!(self, Opd::Uni(_))
+    }
+}
+
+/// `match $val` over the listed variants of `$ty`, with the matched variant
+/// bound to a *constant* `$k` in its arm: an `#[inline(always)]` callee's own
+/// `match` on `$k` folds away, so each arm holds one specialised lane loop
+/// and the choice between them is made once per warp-op.
+macro_rules! per_variant {
+    ($val:expr, $ty:ident { $($v:ident),+ }, $k:ident => $body:expr) => {
+        match $val {
+            $($ty::$v => {
+                const $k: $ty = $ty::$v;
+                $body
+            })+
+        }
+    };
 }
 
 /// Outcome of [`WarpInterp::run_phase`].
@@ -112,16 +158,20 @@ pub(crate) struct WarpInterp<'f> {
     stride: usize,
     lanes: usize,
     frames: Vec<Frame>,
-    /// Value-major register file: `vals[value * stride + lane]`.
+    /// Value-major register file: `vals[value * stride + lane]`; a uniform
+    /// value lives in its lane-0 slot.
     vals: Vec<RtVal>,
     /// Shared binding epochs: `epochs[value] == cur` means bound (in every
     /// lane that was active where the value is defined).
     epochs: Vec<u32>,
+    /// Per bound value: one value for every active lane (see [`Opd::Uni`]).
+    uni: Vec<bool>,
     cur: u32,
     done: bool,
-    /// Gather buffer, operand-major and lane-strided:
-    /// `scratch[k * stride + lane]`. Grown on demand, never cleared.
-    scratch: Vec<RtVal>,
+    /// Resolved sources of the `yield`/`for`/`while` being executed.
+    srcs: Vec<Opd>,
+    /// One lane's source values, staged between read and write.
+    staged: Vec<RtVal>,
     /// Reconvergence stack; empty exactly when the mask is full.
     reconv: Vec<Reconv>,
     /// Arena of ascending lane-id lists, one or two per `reconv` entry.
@@ -147,9 +197,11 @@ impl<'f> WarpInterp<'f> {
             frames: Vec::new(),
             vals: vec![RtVal::Int(0); func.num_values() * stride],
             epochs: vec![0; func.num_values()],
+            uni: vec![false; func.num_values()],
             cur: 0,
             done: false,
-            scratch: Vec::new(),
+            srcs: Vec::new(),
+            staged: Vec::new(),
             reconv: Vec::new(),
             lane_buf: Vec::new(),
             act: (0, 0),
@@ -189,7 +241,7 @@ impl<'f> WarpInterp<'f> {
         for lane in 0..self.lanes {
             self.vals[base + lane] = f(lane);
         }
-        self.epochs[v.index()] = self.cur;
+        self.stamp(v, false);
     }
 
     /// Copies one lane's live state into a scalar interpreter. The scalar
@@ -201,9 +253,8 @@ impl<'f> WarpInterp<'f> {
         target.adopt_frames(&self.frames);
         for (v, &e) in self.epochs.iter().enumerate() {
             if e == self.cur {
-                target
-                    .store
-                    .set(Value::from_index(v), self.vals[v * self.stride + lane]);
+                let at = v * self.stride + if self.uni[v] { 0 } else { lane };
+                target.store.set(Value::from_index(v), self.vals[at]);
             }
         }
     }
@@ -228,29 +279,40 @@ impl<'f> WarpInterp<'f> {
         }
     }
 
-    /// One issue of `op` in every active lane.
+    /// One issue of `op` by the warp: one warp-level count at full mask, one
+    /// per active lane otherwise.
     #[inline(always)]
-    fn bump<const FULL: bool>(&self, counters: &mut [ThreadCounters], op: OpId) {
+    fn bump<const FULL: bool>(&self, counters: &mut WarpCounters, op: OpId) {
         if FULL {
-            for c in counters.iter_mut() {
-                c.bump(op);
-            }
+            counters.bump_warp(op);
         } else {
-            for i in 0..self.width::<false>() {
-                counters[self.lane_at::<false>(i)].bump(op);
-            }
+            counters.bump_lanes(op, &self.lane_buf[self.act.0..self.act.1]);
         }
     }
 
+    /// Resolves an operand of the kind `want` extracts: a value bound in the
+    /// warp is its plane (or its one value, if it was defined uniform);
+    /// anything else is looked up in the enclosing scopes, once, and is
+    /// uniform by construction.
     #[inline]
-    fn get(&self, parents: &[&Store], slot: Slot, lane: usize) -> Result<RtVal, SimError> {
+    fn typed<T>(
+        &self,
+        parents: &[&Store],
+        slot: Slot,
+        want: impl Fn(RtVal) -> Result<T, SimError>,
+    ) -> Result<Opd<T>, SimError> {
         let v = slot as usize;
         if self.epochs[v] == self.cur {
-            return Ok(self.vals[v * self.stride + lane]);
+            let base = v * self.stride;
+            return Ok(if self.uni[v] {
+                Opd::Uni(want(self.vals[base])?)
+            } else {
+                Opd::Plane(base)
+            });
         }
         for p in parents {
             if let Some(val) = p.get(slot_value(slot)) {
-                return Ok(val);
+                return Ok(Opd::Uni(want(val)?));
             }
         }
         Err(SimError::new(format!(
@@ -259,81 +321,169 @@ impl<'f> WarpInterp<'f> {
         )))
     }
 
+    /// [`WarpInterp::typed`] for an operand of any kind.
     #[inline]
-    fn stamp(&mut self, slot: Slot) {
-        self.epochs[slot as usize] = self.cur;
+    fn opd(&self, parents: &[&Store], slot: Slot) -> Result<Opd, SimError> {
+        self.typed(parents, slot, Ok)
     }
 
-    fn set_uniform<const FULL: bool>(&mut self, v: Value, val: RtVal) {
-        let base = v.index() * self.stride;
-        for i in 0..self.width::<FULL>() {
-            let lane = self.lane_at::<FULL>(i);
-            self.vals[base + lane] = val;
+    #[inline(always)]
+    fn at<T: Copy>(
+        &self,
+        o: Opd<T>,
+        lane: usize,
+        want: impl Fn(RtVal) -> Result<T, SimError>,
+    ) -> Result<T, SimError> {
+        match o {
+            Opd::Plane(base) => want(self.vals[base + lane]),
+            Opd::Uni(v) => Ok(v),
         }
+    }
+
+    #[inline(always)]
+    fn rd(&self, o: Opd, lane: usize) -> RtVal {
+        match o {
+            Opd::Plane(base) => self.vals[base + lane],
+            Opd::Uni(v) => v,
+        }
+    }
+
+    /// Marks `v` bound, as a plane or as one uniform value.
+    #[inline]
+    fn stamp(&mut self, v: Value, uniform: bool) {
+        self.uni[v.index()] = uniform;
         self.epochs[v.index()] = self.cur;
     }
 
-    /// Gathers `slots` for every active lane into the scratch buffer.
-    fn gather<const FULL: bool>(
+    fn def_uniform(&mut self, v: Value, val: RtVal) {
+        self.vals[v.index() * self.stride] = val;
+        self.stamp(v, true);
+    }
+
+    /// Defines `out` as `f(lane)` in every active lane — or, when the op's
+    /// inputs are all `uniform`, evaluates `f` once and keeps one value.
+    #[inline(always)]
+    fn def<const FULL: bool>(
         &mut self,
-        parents: &[&Store],
-        slots: &[Slot],
-    ) -> Result<usize, SimError> {
-        let need = slots.len() * self.stride;
-        if self.scratch.len() < need {
-            self.scratch.resize(need, RtVal::Int(0));
+        out: Slot,
+        uniform: bool,
+        f: impl Fn(&Self, usize) -> Result<RtVal, SimError>,
+    ) -> Result<(), SimError> {
+        let base = out as usize * self.stride;
+        // One call site for `f`, so that it is inlined into the loop: the
+        // uniform case is the first active lane alone, kept in slot 0.
+        let n = if uniform { 1 } else { self.width::<FULL>() };
+        for i in 0..n {
+            let lane = self.lane_at::<FULL>(i);
+            let val = f(self, lane)?;
+            self.vals[base + if uniform { 0 } else { lane }] = val;
         }
-        for (k, &s) in slots.iter().enumerate() {
-            let base = k * self.stride;
+        self.stamp(slot_value(out), uniform);
+        Ok(())
+    }
+
+    /// [`WarpInterp::def`] of a one-operand lane kernel.
+    #[inline(always)]
+    fn def1<const FULL: bool, T: Copy>(
+        &mut self,
+        out: Slot,
+        v: Opd<T>,
+        want: impl Fn(RtVal) -> Result<T, SimError>,
+        f: impl Fn(T) -> RtVal,
+    ) -> Result<(), SimError> {
+        self.def::<FULL>(out, v.is_uniform(), |w, lane| Ok(f(w.at(v, lane, &want)?)))
+    }
+
+    /// [`WarpInterp::def`] of a two-operand lane kernel.
+    #[inline(always)]
+    fn def2<const FULL: bool, T: Copy>(
+        &mut self,
+        out: Slot,
+        (l, r): (Opd<T>, Opd<T>),
+        want: impl Fn(RtVal) -> Result<T, SimError>,
+        f: impl Fn(T, T) -> Result<RtVal, SimError>,
+    ) -> Result<(), SimError> {
+        self.def::<FULL>(out, l.is_uniform() && r.is_uniform(), |w, lane| {
+            f(w.at(l, lane, &want)?, w.at(r, lane, &want)?)
+        })
+    }
+
+    /// Resolves the sources of a parallel assignment into `srcs`.
+    fn resolve(&mut self, parents: &[&Store], slots: &[Slot]) -> Result<(), SimError> {
+        self.srcs.clear();
+        for &s in slots {
+            let o = self.opd(parents, s)?;
+            self.srcs.push(o);
+        }
+        Ok(())
+    }
+
+    /// Binds `srcs` to `targets` in every active lane, truncating to the
+    /// shorter list exactly like the scalar interpreter's `zip`: planes are
+    /// copied plane to plane, a uniform source makes its target uniform.
+    fn bind<const FULL: bool>(&mut self, targets: &[Value]) {
+        let n = targets.len().min(self.srcs.len());
+        // A source plane that an earlier pair overwrites (loop arguments
+        // swapped through the `yield`) must be read first: go lane by lane.
+        let clobbered = (1..n).any(|k| {
+            matches!(self.srcs[k], Opd::Plane(base)
+                if targets[..k].iter().any(|t| t.index() * self.stride == base))
+        });
+        if clobbered {
             for i in 0..self.width::<FULL>() {
-                let lane = self.lane_at::<FULL>(i);
-                self.scratch[base + lane] = self.get(parents, s, lane)?;
+                self.bind_lane(targets, self.lane_at::<FULL>(i));
             }
+            return self.stamp_planes(targets);
         }
-        Ok(slots.len())
-    }
-
-    /// Binds gathered scratch rows to `targets` in every active lane,
-    /// truncating to the shorter list exactly like the scalar
-    /// interpreter's `zip`.
-    fn scatter<const FULL: bool>(&mut self, targets: &[Value], count: usize) {
-        for (k, &t) in targets.iter().take(count).enumerate() {
-            let (from, to) = (k * self.stride, t.index() * self.stride);
-            for i in 0..self.width::<FULL>() {
-                let lane = self.lane_at::<FULL>(i);
-                self.vals[to + lane] = self.scratch[from + lane];
+        for (k, &t) in targets[..n].iter().enumerate() {
+            let to = t.index() * self.stride;
+            match self.srcs[k] {
+                Opd::Uni(val) => self.vals[to] = val,
+                Opd::Plane(from) if FULL => self.vals.copy_within(from..from + self.lanes, to),
+                Opd::Plane(from) => {
+                    for i in 0..self.width::<FULL>() {
+                        let lane = self.lane_at::<FULL>(i);
+                        self.vals[to + lane] = self.vals[from + lane];
+                    }
+                }
             }
-            self.epochs[t.index()] = self.cur;
+            self.stamp(t, self.srcs[k].is_uniform());
         }
     }
 
-    /// [`WarpInterp::scatter`] for one lane, without stamping the targets
-    /// (divergent loops route each lane to the body args or the results).
-    fn scatter_lane(&mut self, targets: &[Value], count: usize, lane: usize) {
-        for (k, &t) in targets.iter().take(count).enumerate() {
-            self.vals[t.index() * self.stride + lane] = self.scratch[k * self.stride + lane];
+    /// [`WarpInterp::bind`] for one lane, every source read before any
+    /// target is written, without stamping the targets (divergent loops
+    /// route each lane to the body args or the results).
+    fn bind_lane(&mut self, targets: &[Value], lane: usize) {
+        let n = targets.len().min(self.srcs.len());
+        self.staged.clear();
+        for k in 0..n {
+            self.staged.push(self.rd(self.srcs[k], lane));
+        }
+        for (&t, &val) in targets.iter().zip(&self.staged) {
+            self.vals[t.index() * self.stride + lane] = val;
         }
     }
 
-    fn stamp_all(&mut self, targets: &[Value], count: usize) {
-        for &t in targets.iter().take(count) {
-            self.epochs[t.index()] = self.cur;
+    /// Marks the targets of lane-by-lane binds bound, as planes.
+    fn stamp_planes(&mut self, targets: &[Value]) {
+        for &t in targets.iter().take(self.srcs.len()) {
+            self.stamp(t, false);
         }
     }
 
-    /// Peeks an integer in every active lane; `Ok(None)` means the lanes
-    /// disagree (or a non-lead lane holds a non-integer — the per-lane path
-    /// surfaces that lane's own error). Reads only; no counters move.
-    fn peek_uniform_int<const FULL: bool>(
-        &self,
-        parents: &[&Store],
-        slot: Slot,
-    ) -> Result<Option<i64>, SimError> {
-        let v0 = want_int(self.get(parents, slot, self.lane_at::<FULL>(0))?)?;
-        for i in 1..self.width::<FULL>() {
-            match self.get(parents, slot, self.lane_at::<FULL>(i))?.try_int() {
-                Some(v) if v == v0 => {}
-                _ => return Ok(None),
+    /// An integer operand's value if every active lane agrees on it;
+    /// `Ok(None)` means the lanes disagree (or a non-lead lane holds a
+    /// non-integer — the per-lane path surfaces that lane's own error).
+    /// Reads only; no counters move.
+    fn uniform_int<const FULL: bool>(&self, o: Opd) -> Result<Option<i64>, SimError> {
+        let v0 = want_int(self.rd(o, self.lane_at::<FULL>(0)))?;
+        if let Opd::Plane(base) = o {
+            for i in 1..self.width::<FULL>() {
+                match self.vals[base + self.lane_at::<FULL>(i)].try_int() {
+                    Some(v) if v == v0 => {}
+                    _ => return Ok(None),
+                }
             }
         }
         Ok(Some(v0))
@@ -384,13 +534,12 @@ impl<'f> WarpInterp<'f> {
     /// Appends to `lane_buf` the active lanes whose `cond` is (non-)zero.
     fn push_lanes_where<const FULL: bool>(
         &mut self,
-        parents: &[&Store],
-        cond: Slot,
+        cond: Opd,
         taken: bool,
     ) -> Result<(), SimError> {
         for i in 0..self.width::<FULL>() {
             let lane = self.lane_at::<FULL>(i);
-            if (want_int(self.get(parents, cond, lane)?)? != 0) == taken {
+            if (want_int(self.rd(cond, lane))? != 0) == taken {
                 self.lane_buf.push(lane as u32);
             }
         }
@@ -405,7 +554,7 @@ impl<'f> WarpInterp<'f> {
         &mut self,
         cx: &mut WarpCx<'_>,
         op_id: OpId,
-        cond: Slot,
+        cond: Opd,
         arms: (Option<RegionId>, Option<RegionId>),
     ) -> Result<WarpStep, SimError> {
         self.bump::<FULL>(cx.counters, op_id);
@@ -413,9 +562,9 @@ impl<'f> WarpInterp<'f> {
             return Err(SimError::new("`if` without both arm regions"));
         };
         let mark = self.lane_buf.len();
-        self.push_lanes_where::<FULL>(cx.parents, cond, false)?;
+        self.push_lanes_where::<FULL>(cond, false)?;
         let mid = self.lane_buf.len();
-        self.push_lanes_where::<FULL>(cx.parents, cond, true)?;
+        self.push_lanes_where::<FULL>(cond, true)?;
         self.frames.push(Frame {
             region: then_r,
             idx: 0,
@@ -442,43 +591,41 @@ impl<'f> WarpInterp<'f> {
         &mut self,
         cx: &mut WarpCx<'_>,
         op_id: OpId,
-        bounds: [Slot; 3],
+        bounds: [Opd; 3],
         iters: &[Slot],
         body: RegionId,
     ) -> Result<WarpStep, SimError> {
         let func = self.func;
         let args = &func.region(body).args;
         let results = &func.op(op_id).results;
-        let n = self.gather::<FULL>(cx.parents, iters)?;
+        self.resolve(cx.parents, iters)?;
         let mark = self.lane_buf.len();
         let state = self.loop_state.len();
         self.loop_state.resize(state + 3 * self.stride, 0);
         for i in 0..self.width::<FULL>() {
             let lane = self.lane_at::<FULL>(i);
-            let [lb, ub, step] = bounds;
-            let lb = want_int(self.get(cx.parents, lb, lane)?)?;
-            let ub = want_int(self.get(cx.parents, ub, lane)?)?;
-            let step = want_int(self.get(cx.parents, step, lane)?)?;
+            let [lb, ub, step] = bounds.map(|b| want_int(self.rd(b, lane)));
+            let (lb, ub, step) = (lb?, ub?, step?);
             if step <= 0 {
                 return Err(SimError::new("for loop step must be positive"));
             }
             if lb < ub {
                 self.loop_state[state + 3 * lane..][..3].copy_from_slice(&[lb, ub, step]);
                 self.vals[args[0].index() * self.stride + lane] = RtVal::Int(lb);
-                self.scatter_lane(&args[1..], n, lane);
+                self.bind_lane(&args[1..], lane);
                 self.lane_buf.push(lane as u32);
             } else {
-                self.scatter_lane(results, n, lane);
+                self.bind_lane(results, lane);
             }
         }
-        self.stamp_all(results, n);
+        self.stamp_planes(results);
         if self.lane_buf.len() == mark {
             // Every lane is zero-trip: nothing to mask.
             self.loop_state.truncate(state);
             return Ok(WarpStep::Ran);
         }
-        self.stamp(args[0].index() as Slot);
-        self.stamp_all(&args[1..], n);
+        self.stamp(args[0], false);
+        self.stamp_planes(&args[1..]);
         self.frames.push(Frame {
             region: body,
             idx: 0,
@@ -502,18 +649,23 @@ impl<'f> WarpInterp<'f> {
     }
 
     /// `yield` of the region the innermost reconvergence entry governs
-    /// (values already gathered): an `if` arm hands over to the parked
+    /// (sources already resolved): an `if` arm hands over to the parked
     /// else-lanes or reconverges; a loop body takes its back-edge per lane,
     /// drops the lanes whose trip count is spent, and reconverges once none
-    /// is left.
+    /// is left. Lanes of one result hold different arms' or iterations'
+    /// values, so everything bound here is a plane.
     #[inline(never)]
-    fn reconverge(&mut self, cx: &mut WarpCx<'_>, yield_op: OpId, n: usize) -> WarpStep {
+    fn reconverge(&mut self, cx: &mut WarpCx<'_>, yield_op: OpId) -> WarpStep {
         let func = self.func;
         let fr = self.frames.pop().expect("frame stack non-empty");
         let top = *self.reconv.last().expect("caller matched the entry");
         match (fr.kind, top.kind) {
             (FrameKind::If { op }, ReconvKind::If { pending }) => {
-                self.scatter::<false>(&func.op(op).results, n);
+                let results = &func.op(op).results;
+                for i in self.act.0..self.act.1 {
+                    self.bind_lane(results, self.lane_buf[i] as usize);
+                }
+                self.stamp_planes(results);
                 match pending {
                     Some((else_r, lo, hi)) => {
                         self.reconv.last_mut().expect("non-empty").kind =
@@ -543,11 +695,11 @@ impl<'f> WarpInterp<'f> {
                     if next < self.loop_state[s + 1] {
                         self.loop_state[s] = next;
                         self.vals[args[0].index() * self.stride + lane] = RtVal::Int(next);
-                        self.scatter_lane(&args[1..], n, lane);
+                        self.bind_lane(&args[1..], lane);
                         self.lane_buf[keep] = lane as u32;
                         keep += 1;
                     } else {
-                        self.scatter_lane(results, n, lane);
+                        self.bind_lane(results, lane);
                     }
                 }
                 self.lane_buf.truncate(keep);
@@ -578,14 +730,14 @@ impl<'f> WarpInterp<'f> {
         // Terminators handle the frame stack themselves.
         match decoded {
             DecodedOp::Yield { vals } => {
-                let n = self.gather::<FULL>(cx.parents, vals)?;
+                self.resolve(cx.parents, vals)?;
                 if !FULL
                     && self
                         .reconv
                         .last()
                         .is_some_and(|r| r.depth == self.frames.len())
                 {
-                    return Ok(self.reconverge(cx, op_id, n));
+                    return Ok(self.reconverge(cx, op_id));
                 }
                 let fr = self.frames.pop().expect("frame stack non-empty");
                 match fr.kind {
@@ -604,9 +756,9 @@ impl<'f> WarpInterp<'f> {
                         let next = iv + step;
                         let body = func.op(for_op).regions[0];
                         if next < ub {
-                            let arg0 = func.region(body).args[0];
-                            self.set_uniform::<FULL>(arg0, RtVal::Int(next));
-                            self.scatter::<FULL>(&func.region(body).args[1..], n);
+                            let args = &func.region(body).args;
+                            self.def_uniform(args[0], RtVal::Int(next));
+                            self.bind::<FULL>(&args[1..]);
                             self.frames.push(Frame {
                                 region: body,
                                 idx: 0,
@@ -618,12 +770,10 @@ impl<'f> WarpInterp<'f> {
                                 },
                             });
                         } else {
-                            self.scatter::<FULL>(&func.op(for_op).results, n);
+                            self.bind::<FULL>(&func.op(for_op).results);
                         }
                     }
-                    FrameKind::If { op: if_op } => {
-                        self.scatter::<FULL>(&func.op(if_op).results, n);
-                    }
+                    FrameKind::If { op: if_op } => self.bind::<FULL>(&func.op(if_op).results),
                     FrameKind::Alt => {}
                     FrameKind::WhileCond { .. } => {
                         return Err(SimError::new(
@@ -632,7 +782,7 @@ impl<'f> WarpInterp<'f> {
                     }
                     FrameKind::WhileBody { op: while_op } => {
                         let cond_region = func.op(while_op).regions[0];
-                        self.scatter::<FULL>(&func.region(cond_region).args, n);
+                        self.bind::<FULL>(&func.region(cond_region).args);
                         self.frames.push(Frame {
                             region: cond_region,
                             idx: 0,
@@ -644,31 +794,31 @@ impl<'f> WarpInterp<'f> {
             }
             DecodedOp::Condition { flag, vals } => {
                 // Divergence checkpoint: peek the flag before mutating.
-                let Some(f0) = self.peek_uniform_int::<FULL>(cx.parents, *flag)? else {
+                let flag = self.opd(cx.parents, *flag)?;
+                let Some(f0) = self.uniform_int::<FULL>(flag)? else {
                     return self.diverge::<FULL>(op_id);
                 };
-                let taken = f0 != 0;
-                let n = self.gather::<FULL>(cx.parents, vals)?;
+                self.resolve(cx.parents, vals)?;
                 let fr = self.frames.pop().expect("frame stack non-empty");
                 let while_op = match fr.kind {
                     FrameKind::WhileCond { op } => op,
                     _ => return Err(SimError::new("`condition` outside while condition region")),
                 };
                 self.bump::<FULL>(cx.counters, op_id);
-                if taken {
+                if f0 != 0 {
                     let body = *func
                         .op(while_op)
                         .regions
                         .get(1)
                         .ok_or_else(|| SimError::new("while without a body region"))?;
-                    self.scatter::<FULL>(&func.region(body).args, n);
+                    self.bind::<FULL>(&func.region(body).args);
                     self.frames.push(Frame {
                         region: body,
                         idx: 0,
                         kind: FrameKind::WhileBody { op: while_op },
                     });
                 } else {
-                    self.scatter::<FULL>(&func.op(while_op).results, n);
+                    self.bind::<FULL>(&func.op(while_op).results);
                 }
                 return Ok(WarpStep::Ran);
             }
@@ -688,33 +838,32 @@ impl<'f> WarpInterp<'f> {
                 iters,
                 body,
             } => {
-                let bounds = (
-                    self.peek_uniform_int::<FULL>(cx.parents, *lb)?,
-                    self.peek_uniform_int::<FULL>(cx.parents, *ub)?,
-                    self.peek_uniform_int::<FULL>(cx.parents, *step)?,
-                );
-                let (Some(lb), Some(ub), Some(step)) = bounds else {
+                let bounds = [
+                    self.opd(cx.parents, *lb)?,
+                    self.opd(cx.parents, *ub)?,
+                    self.opd(cx.parents, *step)?,
+                ];
+                let [lb, ub, step] = [
+                    self.uniform_int::<FULL>(bounds[0])?,
+                    self.uniform_int::<FULL>(bounds[1])?,
+                    self.uniform_int::<FULL>(bounds[2])?,
+                ];
+                let (Some(lb), Some(ub), Some(step)) = (lb, ub, step) else {
                     if !program.maskable[op_id.index()] {
                         return self.diverge::<FULL>(op_id);
                     }
                     self.frames.last_mut().expect("frame stack non-empty").idx += 1;
-                    return self.enter_masked_for::<FULL>(
-                        cx,
-                        op_id,
-                        [*lb, *ub, *step],
-                        iters,
-                        *body,
-                    );
+                    return self.enter_masked_for::<FULL>(cx, op_id, bounds, iters, *body);
                 };
                 self.frames.last_mut().expect("frame stack non-empty").idx += 1;
                 if step <= 0 {
                     return Err(SimError::new("for loop step must be positive"));
                 }
-                let n = self.gather::<FULL>(cx.parents, iters)?;
+                self.resolve(cx.parents, iters)?;
                 if lb < ub {
-                    let arg0 = func.region(*body).args[0];
-                    self.set_uniform::<FULL>(arg0, RtVal::Int(lb));
-                    self.scatter::<FULL>(&func.region(*body).args[1..], n);
+                    let args = &func.region(*body).args;
+                    self.def_uniform(args[0], RtVal::Int(lb));
+                    self.bind::<FULL>(&args[1..]);
                     self.frames.push(Frame {
                         region: *body,
                         idx: 0,
@@ -726,7 +875,7 @@ impl<'f> WarpInterp<'f> {
                         },
                     });
                 } else {
-                    self.scatter::<FULL>(&func.op(op_id).results, n);
+                    self.bind::<FULL>(&func.op(op_id).results);
                 }
                 return Ok(WarpStep::Ran);
             }
@@ -738,22 +887,20 @@ impl<'f> WarpInterp<'f> {
                 // Uniform means every active lane holds an integer of the
                 // same truthiness; anything else takes the per-lane path,
                 // which surfaces a bad lane's own error.
-                let lead = self.get(cx.parents, *cond, self.lane_at::<FULL>(0))?;
-                let taken = lead.try_int().map(|v| v != 0);
-                let mut uniform = taken.is_some();
-                for i in 1..self.width::<FULL>() {
-                    if !uniform {
-                        break;
-                    }
-                    let v = self.get(cx.parents, *cond, self.lane_at::<FULL>(i))?;
-                    uniform = v.try_int().map(|v| v != 0) == taken;
-                }
+                let cond = self.opd(cx.parents, *cond)?;
+                let truth = |w: &Self, i: usize| {
+                    let v = w.rd(cond, w.lane_at::<FULL>(i));
+                    v.try_int().map(|v| v != 0)
+                };
+                let taken = truth(self, 0);
+                let uniform =
+                    cond.is_uniform() || (1..self.width::<FULL>()).all(|i| truth(self, i) == taken);
                 let Some(taken) = taken.filter(|_| uniform) else {
                     if !program.maskable[op_id.index()] {
                         return self.diverge::<FULL>(op_id);
                     }
                     self.frames.last_mut().expect("frame stack non-empty").idx += 1;
-                    return self.enter_masked_if::<FULL>(cx, op_id, *cond, (*then_r, *else_r));
+                    return self.enter_masked_if::<FULL>(cx, op_id, cond, (*then_r, *else_r));
                 };
                 self.frames.last_mut().expect("frame stack non-empty").idx += 1;
                 self.bump::<FULL>(cx.counters, op_id);
@@ -785,20 +932,21 @@ impl<'f> WarpInterp<'f> {
                     return Err(partial_mask_error(op_id));
                 }
                 self.bump::<FULL>(cx.counters, op_id);
-                Ok(WarpStep::Barrier)
+                return Ok(WarpStep::Barrier);
             }
-            DecodedOp::Parallel => Err(SimError::new(
-                "parallel loop nested inside the thread level",
-            )),
+            DecodedOp::Parallel => {
+                return Err(SimError::new(
+                    "parallel loop nested inside the thread level",
+                ))
+            }
             DecodedOp::While { inits, cond } => {
-                let n = self.gather::<FULL>(cx.parents, inits)?;
-                self.scatter::<FULL>(&func.region(*cond).args, n);
+                self.resolve(cx.parents, inits)?;
+                self.bind::<FULL>(&func.region(*cond).args);
                 self.frames.push(Frame {
                     region: *cond,
                     idx: 0,
                     kind: FrameKind::WhileCond { op: op_id },
                 });
-                Ok(WarpStep::Ran)
             }
             DecodedOp::Alternatives { region } => {
                 let region = region.ok_or_else(|| {
@@ -809,41 +957,28 @@ impl<'f> WarpInterp<'f> {
                     idx: 0,
                     kind: FrameKind::Alt,
                 });
-                Ok(WarpStep::Ran)
             }
-            DecodedOp::Call { callee } => Err(SimError::new(format!(
-                "call to @{callee}: the simulator requires fully inlined kernels"
-            ))),
+            DecodedOp::Call { callee } => {
+                return Err(SimError::new(format!(
+                    "call to @{callee}: the simulator requires fully inlined kernels"
+                )))
+            }
             DecodedOp::ConstInt { out, value } => {
-                self.set_uniform::<FULL>(slot_value(*out), RtVal::Int(*value));
-                Ok(WarpStep::Ran)
+                self.def_uniform(slot_value(*out), RtVal::Int(*value));
             }
             DecodedOp::ConstFloat { out, value } => {
-                self.set_uniform::<FULL>(slot_value(*out), RtVal::Float(*value));
-                Ok(WarpStep::Ran)
+                self.def_uniform(slot_value(*out), RtVal::Float(*value));
             }
-            DecodedOp::Binary { out, l, r, op, ty } => {
+            DecodedOp::Binary { out, l, r, op, num } => {
                 self.bump::<FULL>(cx.counters, op_id);
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let lv = self.get(cx.parents, *l, lane)?;
-                    let rv = self.get(cx.parents, *r, lane)?;
-                    self.vals[base + lane] = eval_binary(*op, *ty, lv, rv)?;
-                }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
+                self.binary::<FULL>(cx.parents, *out, (*l, *r), *op, *num)?;
             }
             DecodedOp::Unary { out, v, op, ty } => {
                 self.bump::<FULL>(cx.counters, op_id);
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let vv = self.get(cx.parents, *v, lane)?;
-                    self.vals[base + lane] = eval_unary(*op, *ty, vv)?;
-                }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
+                let v = self.opd(cx.parents, *v)?;
+                self.def::<FULL>(*out, v.is_uniform(), |w, lane| {
+                    eval_unary(*op, *ty, w.rd(v, lane))
+                })?;
             }
             DecodedOp::Cmp {
                 out,
@@ -853,130 +988,51 @@ impl<'f> WarpInterp<'f> {
                 float,
             } => {
                 self.bump::<FULL>(cx.counters, op_id);
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let lv = self.get(cx.parents, *l, lane)?;
-                    let rv = self.get(cx.parents, *r, lane)?;
-                    let flag = eval_cmp(*pred, *float, lv, rv)?;
-                    self.vals[base + lane] = RtVal::Int(flag as i64);
+                if *float {
+                    self.cmp::<FULL, _>(cx.parents, *out, (*l, *r), *pred, want_float)?;
+                } else {
+                    self.cmp::<FULL, _>(cx.parents, *out, (*l, *r), *pred, want_int)?;
                 }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
             }
             DecodedOp::Select { out, c, t, f } => {
                 self.bump::<FULL>(cx.counters, op_id);
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let flag = want_int(self.get(cx.parents, *c, lane)?)? != 0;
-                    let v = self.get(cx.parents, if flag { *t } else { *f }, lane)?;
-                    self.vals[base + lane] = v;
-                }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
+                let c = self.typed(cx.parents, *c, want_int)?;
+                let (t, f) = (self.opd(cx.parents, *t)?, self.opd(cx.parents, *f)?);
+                let uniform = c.is_uniform() && t.is_uniform() && f.is_uniform();
+                self.def::<FULL>(*out, uniform, |w, lane| {
+                    let flag = w.at(c, lane, want_int)? != 0;
+                    Ok(w.rd(if flag { t } else { f }, lane))
+                })?;
             }
-            DecodedOp::Cast { out, v, from, to } => {
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let vv = self.get(cx.parents, *v, lane)?;
-                    self.vals[base + lane] = crate::interp::cast_value(vv, *from, *to)?;
+            DecodedOp::Cast {
+                out,
+                v,
+                from_float,
+                to,
+            } => {
+                if *from_float {
+                    let v = self.typed(cx.parents, *v, want_float)?;
+                    self.def1::<FULL, _>(*out, v, want_float, |f| cast_float(f, *to))?;
+                } else {
+                    let v = self.typed(cx.parents, *v, want_int)?;
+                    self.def1::<FULL, _>(*out, v, want_int, |i| cast_int(i, *to))?;
                 }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
             }
             DecodedOp::Load { out, mem, idx } => {
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let mem = want_mem(self.get(cx.parents, *mem, lane)?)?;
-                    let mut index = [0i64; 3];
-                    for (d, &s) in idx.iter().enumerate() {
-                        index[d] = want_int(self.get(cx.parents, s, lane)?)?;
-                    }
-                    let flat = mem.flatten(&index[..mem.rank as usize]).ok_or_else(|| {
-                        SimError::new(format!(
-                            "out-of-bounds load at {op_id:?}: index {index:?} in {:?}",
-                            mem
-                        ))
-                    })?;
-                    let elem = cx.mem.elem_type(mem.buf);
-                    let (f, i) = cx
-                        .mem
-                        .load_scalar(mem.buf, flat)
-                        .ok_or_else(|| SimError::new(format!("out-of-bounds load at {op_id:?}")))?;
-                    self.vals[base + lane] = if elem.is_float() {
-                        RtVal::Float(f)
-                    } else {
-                        RtVal::Int(i)
-                    };
-                    let c = &mut cx.counters[lane];
-                    let occ = c.bump(op_id);
-                    c.events.push(MemEvent {
-                        op: op_id.index() as u32,
-                        occ,
-                        addr: cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes(),
-                        bytes: elem.size_bytes() as u8,
-                        space: mem.space,
-                        is_store: false,
-                    });
-                }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
+                self.access::<FULL>(cx, op_id, *mem, idx, None, *out)?;
             }
             DecodedOp::Store { val, mem, idx } => {
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let v = self.get(cx.parents, *val, lane)?;
-                    let mem = want_mem(self.get(cx.parents, *mem, lane)?)?;
-                    let mut index = [0i64; 3];
-                    for (d, &s) in idx.iter().enumerate() {
-                        index[d] = want_int(self.get(cx.parents, s, lane)?)?;
-                    }
-                    let flat = mem.flatten(&index[..mem.rank as usize]).ok_or_else(|| {
-                        SimError::new(format!(
-                            "out-of-bounds store at {op_id:?}: index {index:?} in {:?}",
-                            mem
-                        ))
-                    })?;
-                    let elem = cx.mem.elem_type(mem.buf);
-                    let (f, i) = match v {
-                        RtVal::Float(f) => (f, 0),
-                        RtVal::Int(i) => (0.0, i),
-                        RtVal::Mem(_) => return Err(SimError::new("cannot store a memref")),
-                    };
-                    if !cx.mem.store_scalar(mem.buf, flat, f, i) {
-                        return Err(SimError::new(format!("out-of-bounds store at {op_id:?}")));
-                    }
-                    let c = &mut cx.counters[lane];
-                    let occ = c.bump(op_id);
-                    c.events.push(MemEvent {
-                        op: op_id.index() as u32,
-                        occ,
-                        addr: cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes(),
-                        bytes: elem.size_bytes() as u8,
-                        space: mem.space,
-                        is_store: true,
-                    });
-                }
-                Ok(WarpStep::Ran)
+                self.access::<FULL>(cx, op_id, *mem, idx, Some(*val), 0)?;
             }
             DecodedOp::Dim { out, mem, index } => {
-                let base = *out as usize * self.stride;
-                for i in 0..self.width::<FULL>() {
-                    let lane = self.lane_at::<FULL>(i);
-                    let mem = want_mem(self.get(cx.parents, *mem, lane)?)?;
-                    self.vals[base + lane] = RtVal::Int(mem.dim(*index));
-                }
-                self.stamp(*out);
-                Ok(WarpStep::Ran)
+                let mem = self.typed(cx.parents, *mem, want_mem)?;
+                self.def1::<FULL, _>(*out, mem, want_mem, |m| RtVal::Int(m.dim(*index)))?;
             }
             DecodedOp::Invalid { bump, msg } => {
                 if *bump {
                     self.bump::<FULL>(cx.counters, op_id);
                 }
-                Err(SimError::new(msg.clone()))
+                return Err(SimError::new(msg.clone()));
             }
             DecodedOp::Alloc { .. }
             | DecodedOp::For { .. }
@@ -985,6 +1041,144 @@ impl<'f> WarpInterp<'f> {
             | DecodedOp::Condition { .. }
             | DecodedOp::Return => unreachable!("handled before the pc advance"),
         }
+        Ok(WarpStep::Ran)
+    }
+
+    /// A binary op: the `(op, domain)` pair picks one specialised lane loop.
+    #[inline(never)]
+    fn binary<const FULL: bool>(
+        &mut self,
+        parents: &[&Store],
+        out: Slot,
+        (l, r): (Slot, Slot),
+        op: BinOp,
+        num: Num,
+    ) -> Result<(), SimError> {
+        match num {
+            Num::Int(ty) => {
+                let lr = (
+                    self.typed(parents, l, want_int)?,
+                    self.typed(parents, r, want_int)?,
+                );
+                per_variant!(
+                    op,
+                    BinOp { Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max, Pow },
+                    K => self.def2::<FULL, _>(out, lr, want_int, |a, b| {
+                        int_binary(K, ty, a, b).map(RtVal::Int)
+                    })
+                )
+            }
+            Num::Float { single } => {
+                let lr = (
+                    self.typed(parents, l, want_float)?,
+                    self.typed(parents, r, want_float)?,
+                );
+                per_variant!(
+                    op,
+                    BinOp { Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max, Pow },
+                    K => self.def2::<FULL, _>(out, lr, want_float, |a, b| {
+                        float_binary(K, single, a, b).map(RtVal::Float)
+                    })
+                )
+            }
+        }
+    }
+
+    /// A comparison over operands of the kind `want` extracts: the predicate
+    /// picks one specialised lane loop.
+    #[inline(never)]
+    fn cmp<const FULL: bool, T: Copy + PartialOrd>(
+        &mut self,
+        parents: &[&Store],
+        out: Slot,
+        (l, r): (Slot, Slot),
+        pred: CmpPred,
+        want: impl Fn(RtVal) -> Result<T, SimError>,
+    ) -> Result<(), SimError> {
+        let lr = (
+            self.typed(parents, l, &want)?,
+            self.typed(parents, r, &want)?,
+        );
+        per_variant!(pred, CmpPred { Eq, Ne, Lt, Le, Gt, Ge }, K => {
+            self.def2::<FULL, _>(out, lr, &want, |a, b| Ok(RtVal::Int(compare(K, a, b) as i64)))
+        })
+    }
+
+    /// A load (into `out`) or a store (of `store`): operands resolved once,
+    /// one lane entry per active lane handed to the warp's counters, which
+    /// book the issue and the access.
+    #[inline(never)]
+    fn access<const FULL: bool>(
+        &mut self,
+        cx: &mut WarpCx<'_>,
+        op_id: OpId,
+        mem: Slot,
+        idx: &[Slot],
+        store: Option<Slot>,
+        out: Slot,
+    ) -> Result<(), SimError> {
+        let what = if store.is_some() { "store" } else { "load" };
+        let store = match store {
+            Some(val) => Some(self.opd(cx.parents, val)?),
+            None => None,
+        };
+        let mem = self.typed(cx.parents, mem, want_mem)?;
+        let mut index = [Opd::Uni(0i64); 3];
+        for (d, &s) in idx.iter().enumerate() {
+            index[d] = self.typed(cx.parents, s, want_int)?;
+        }
+        // A load whose memref and indices are all uniform reads one element:
+        // every lane receives it, and every lane is in the access.
+        let uniform = store.is_none() && mem.is_uniform() && index.iter().all(Opd::is_uniform);
+        let base = out as usize * self.stride;
+        let start = cx.counters.begin_access();
+        let mut entry = (0, 0, respec_ir::MemSpace::Global);
+        for i in 0..self.width::<FULL>() {
+            let lane = self.lane_at::<FULL>(i);
+            if i == 0 || !uniform {
+                let m = self.at(mem, lane, want_mem)?;
+                let mut at = [0i64; 3];
+                for d in 0..idx.len() {
+                    at[d] = self.at(index[d], lane, want_int)?;
+                }
+                let flat = m.flatten(&at[..m.rank as usize]).ok_or_else(|| {
+                    SimError::new(format!(
+                        "out-of-bounds {what} at {op_id:?}: index {at:?} in {m:?}"
+                    ))
+                })?;
+                let oob = || SimError::new(format!("out-of-bounds {what} at {op_id:?}"));
+                let buf = cx.mem.buffer_mut(m.buf);
+                match store {
+                    None => {
+                        let (f, i) = buf.load(flat).ok_or_else(oob)?;
+                        self.vals[base + if uniform { 0 } else { lane }] = if buf.elem.is_float() {
+                            RtVal::Float(f)
+                        } else {
+                            RtVal::Int(i)
+                        };
+                    }
+                    Some(val) => {
+                        let (f, i) = match self.rd(val, lane) {
+                            RtVal::Float(f) => (f, 0),
+                            RtVal::Int(i) => (0.0, i),
+                            RtVal::Mem(_) => return Err(SimError::new("cannot store a memref")),
+                        };
+                        if !buf.store(flat, f, i) {
+                            return Err(oob());
+                        }
+                    }
+                }
+                let bytes = buf.elem.size_bytes();
+                entry = (buf.base_addr + flat as u64 * bytes, bytes as u8, m.space);
+            }
+            cx.counters.push_lane(lane, entry.0, entry.1, entry.2);
+        }
+        cx.counters
+            .commit_access(op_id, store.is_some(), start, FULL);
+        if store.is_none() {
+            self.stamp(slot_value(out), uniform);
+        }
+        Ok(())
     }
 }
 

@@ -9,14 +9,20 @@
 use proptest::prelude::*;
 use respec_ir::{parse_function, Function, OpId, OpKind};
 use respec_sim::{
-    targets, ExecCounters, ExecMode, ExecStats, GpuSim, KernelArg, SimError, TargetDesc,
-    TargetModel,
+    targets, ExecCounters, ExecMode, ExecStats, GpuSim, KernelArg, RaceRecord, SimError,
+    TargetDesc, TargetModel,
 };
 
 /// Kernel prologue/epilogue around a thread-region body. Every kernel takes
 /// an output buffer `%m` and two input buffers `%a`, `%b`, one `i32` per
 /// thread, and runs one block of `threads` threads.
 fn kernel(threads: usize, body: &str) -> Function {
+    kernel_in(threads, "", body)
+}
+
+/// [`kernel`] with `block` spliced in at block scope, ahead of the thread
+/// loop (shared allocations live there).
+fn kernel_in(threads: usize, block: &str, body: &str) -> Function {
     let src = format!(
         "func @k(%gx: index, %gy: index, %gz: index, %m: memref<?xi32, global>, %a: memref<?xi32, global>, %b: memref<?xi32, global>) {{
   %T = const {threads} : index
@@ -26,6 +32,7 @@ fn kernel(threads: usize, body: &str) -> Function {
   %one = const 1 : i32
   %three = const 3 : i32
   parallel<block> (%bx, %by, %bz) to (%gx, %gy, %gz) {{
+{block}
     parallel<thread> (%tx, %ty, %tz) to (%T, %c1, %c1) {{
       %av = load %a[%tx] : i32
       %bv = load %b[%tx] : i32
@@ -54,8 +61,22 @@ fn run_mode(
     a: &[i32],
     b: &[i32],
 ) -> Result<(Outcome, ExecCounters), SimError> {
+    run_opts(func, target, mode, false, a, b).map(|(outcome, exec, _)| (outcome, exec))
+}
+
+/// [`run_mode`] with the shared-memory sanitizer switchable; also returns
+/// the races it recorded.
+fn run_opts(
+    func: &Function,
+    target: &TargetDesc,
+    mode: ExecMode,
+    sanitize: bool,
+    a: &[i32],
+    b: &[i32],
+) -> Result<(Outcome, ExecCounters, Vec<RaceRecord>), SimError> {
     let mut sim = GpuSim::new(target.clone());
     sim.set_exec_mode(mode);
+    sim.set_sanitize_shared(sanitize);
     let mb = sim.mem.alloc_i32(&vec![0; a.len()]);
     let ab = sim.mem.alloc_i32(a);
     let bb = sim.mem.alloc_i32(b);
@@ -66,7 +87,7 @@ fn run_mode(
         stats: report.stats,
         out: sim.mem.read_i32(mb),
     };
-    Ok((outcome, report.exec))
+    Ok((outcome, report.exec, report.races))
 }
 
 /// Runs both modes, asserts they agree bit for bit, and returns the warp
@@ -289,6 +310,14 @@ fn barrier_under_a_divergent_if_still_despools_and_matches() {
     assert_eq!(out, want);
     assert_eq!(exec.despooled_warps, 1);
     assert_eq!(exec.masked_branches, 0);
+    // The same despool with the sanitizer reading along: nothing moves.
+    let func = kernel(n as usize, body);
+    let run = |mode, sanitize| run_opts(&func, &targets::a100(), mode, sanitize, &a, &b);
+    let (plain, _, _) = run(ExecMode::WarpVectorized, false).expect("warp");
+    let (checked, _, _) = run(ExecMode::WarpVectorized, true).expect("warp, sanitized");
+    let (scalar, _, _) = run(ExecMode::Scalar, true).expect("scalar, sanitized");
+    assert_eq!(plain, checked);
+    assert_eq!(scalar, checked);
 }
 
 #[test]
@@ -336,6 +365,39 @@ fn divergent_while_still_despools_and_matches() {
 }
 
 #[test]
+fn despooled_warp_crossing_a_barrier_counts_each_round_once() {
+    // Every lane survives the despool (a divergent `while`) and meets the
+    // barrier: the next round starts from the lanes' own, cleared counts, and
+    // the issues the warp counted in lock-step before the despool must not
+    // be merged a second time — with or without the sanitizer reading along.
+    let body = "      %w = while (%cur = %av) {
+        %go = cmp gt %cur, %z
+        condition %go, %cur
+      } do (%x) {
+        %nx = sub %x, %three : i32
+        yield %nx
+      }
+      barrier<thread>
+      %s = add %w, %bv : i32
+      store %s, %m[%tx]";
+    let n = 32;
+    let a: Vec<i32> = (0..n).collect();
+    let b: Vec<i32> = (0..n).map(|i| 5 * i).collect();
+    let func = kernel(n as usize, body);
+    let target = targets::a100();
+    let (out, exec) = differential(&func, &target, &a, &b);
+    let want: Vec<i32> = (0..n)
+        .map(|i| 5 * i + if i == 0 { 0 } else { (i - 1) % 3 - 2 })
+        .collect();
+    assert_eq!(out, want);
+    assert_eq!(exec.despooled_warps, 1);
+    let (scalar, _, _) = run_opts(&func, &target, ExecMode::Scalar, true, &a, &b).expect("scalar");
+    let (warp, _, _) =
+        run_opts(&func, &target, ExecMode::WarpVectorized, true, &a, &b).expect("warp");
+    assert_eq!(scalar, warp, "sanitized runs must be bit-identical too");
+}
+
+#[test]
 fn if_with_a_missing_arm_under_a_partial_mask_is_an_error() {
     // The outer `if` diverges (partial mask); the inner `if` diverges too
     // and has lost its else-arm: some lane needs a region that is not there.
@@ -373,6 +435,290 @@ fn if_with_a_missing_arm_under_a_partial_mask_is_an_error() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Memory accesses under lane masks. The warp executor keeps one access record
+// per warp-op and hands it to the accounting directly; these kernels sit on
+// both sides of the rule that decides when a record may stand in for the
+// per-lane `(op, occurrence)` grouping the scalar reference performs.
+// ---------------------------------------------------------------------------
+
+/// Block-scope shared buffer, one `i32` cell per thread.
+const SHARED: &str = "    %sm = alloc() : memref<128xi32, shared>";
+
+/// The nw shape: a guard that depends on the induction variable of a uniform
+/// loop, around a shared load. A lane's occurrence count of the load differs
+/// from the warp's, so executions of different iterations fall into one
+/// `(op, occurrence)` group.
+fn iv_guard_body(pred: &str) -> String {
+    format!(
+        "      store %bv, %sm[%tx]
+      %c4 = const 4 : index
+      %ti = cast %tx : i32
+      %s = for %i = %c0 to %c4 step %c1 iter (%acc = %av) {{
+        %ii = cast %i : i32
+        %p = cmp {pred} %ti, %ii
+        %x = if %p {{
+          %v = load %sm[%tx] : i32
+          %e = add %acc, %v : i32
+          yield %e
+        }} else {{
+          yield %acc
+        }}
+        yield %x
+      }}
+      store %s, %m[%tx]"
+    )
+}
+
+#[test]
+fn iv_dependent_guard_merges_accesses_across_iterations() {
+    let n = 32;
+    let a: Vec<i32> = (0..n).map(|i| i % 5).collect();
+    let b: Vec<i32> = (0..n).map(|i| 3 * i + 1).collect();
+    // `tx <= i`: lane t executes the load in iterations t..4.
+    let func = kernel_in(n as usize, SHARED, &iv_guard_body("le"));
+    let (out, exec) = differential(&func, &targets::a100(), &a, &b);
+    let want: Vec<i32> = (0..n)
+        .map(|t| a[t as usize] + b[t as usize] * (4 - t).max(0))
+        .collect();
+    assert_eq!(out, want);
+    assert_masked(exec);
+
+    // `tx == i`: four executions of the load, one lane each, every lane at
+    // its own occurrence 0 — the reference accounts them as ONE warp access.
+    let func = kernel_in(n as usize, SHARED, &iv_guard_body("eq"));
+    for mode in [ExecMode::Scalar, ExecMode::WarpVectorized] {
+        let (outcome, _) = run_mode(&func, &targets::a100(), mode, &a, &b).expect("runs");
+        assert_eq!(outcome.stats.shared_read_requests, 1, "{mode:?}");
+    }
+    differential(&func, &targets::a100(), &a, &b);
+}
+
+#[test]
+fn load_under_per_lane_trip_counts_then_at_full_mask() {
+    // Outer iteration 0 runs the inner loop `av` times per lane (masked);
+    // iteration 1 runs it three times at full mask, where each lane's
+    // occurrence count of the load starts from its own `av`.
+    let body = "      %c2 = const 2 : index
+      %c3 = const 3 : index
+      %ubl = cast %av : index
+      %s = for %o = %c0 to %c2 step %c1 iter (%acc = %z) {
+        %first = cmp eq %o, %c0
+        %ub = select %first, %ubl, %c3 : index
+        %t = for %i = %c0 to %ub step %c1 iter (%in = %acc) {
+          %v = load %b[%i] : i32
+          %nx = add %in, %v : i32
+          yield %nx
+        }
+        yield %t
+      }
+      store %s, %m[%tx]";
+    let n = 32;
+    let a: Vec<i32> = (0..n).map(|i| i % 7).collect();
+    let b: Vec<i32> = (0..n).map(|i| 2 * i + 1).collect();
+    let (out, exec) = differential(&kernel(n as usize, body), &targets::a100(), &a, &b);
+    let want: Vec<i32> = a
+        .iter()
+        .map(|&a| b[..a as usize].iter().sum::<i32>() + b[..3].iter().sum::<i32>())
+        .collect();
+    assert_eq!(out, want);
+    assert_masked(exec);
+}
+
+#[test]
+fn arm_order_follows_the_lowest_lane_not_program_order() {
+    // Odd lanes take the then-arm, which executes first; lane 0 sits in the
+    // else-arm. The reference accounts warp accesses in order of their
+    // lowest lane, so the else-arm's load of `%m` reaches the caches before
+    // the then-arm's store to the same sectors: the load misses to DRAM and
+    // the store then hits L2. In program order the store would miss instead.
+    let body = "      %odd = and %tx, %c1 : index
+      %p = cmp ne %odd, %c0
+      if %p {
+        %x = load %b[%tx] : i32
+        store %x, %m[%tx]
+        yield
+      } else {
+        %y = load %m[%tx] : i32
+        %w = add %y, %av : i32
+        store %w, %m[%tx]
+        yield
+      }";
+    let n = 32;
+    let a: Vec<i32> = (0..n).map(|i| i + 1).collect();
+    let b: Vec<i32> = (0..n).map(|i| 100 - i).collect();
+    let func = kernel(n as usize, body);
+    let (out, exec) = differential(&func, &targets::a100(), &a, &b);
+    let want: Vec<i32> = (0..n as usize)
+        .map(|t| if t % 2 == 1 { b[t] } else { a[t] })
+        .collect();
+    assert_eq!(out, want);
+    assert_masked(exec);
+    for mode in [ExecMode::Scalar, ExecMode::WarpVectorized] {
+        let (outcome, _) = run_mode(&func, &targets::a100(), mode, &a, &b).expect("runs");
+        assert_eq!(outcome.stats.dram_write_sectors, 0, "{mode:?}");
+        // `%a`, `%b` and `%m`: 128 bytes each, read from DRAM exactly once.
+        assert_eq!(outcome.stats.dram_read_sectors, 12, "{mode:?}");
+    }
+}
+
+#[test]
+fn loop_arguments_swapped_and_uniform_through_the_yield() {
+    // `yield %y, %x` swaps the carried values: the second source is the
+    // plane the first pair overwrites. `%u`/`%w` swap too but start uniform
+    // (a constant and a kernel-uniform sum), and `%k` is recomputed from the
+    // induction variable alone. Run at full mask (uniform trip count) and
+    // under a mask (per-lane trip count), with a uniform inner `for`.
+    let body = "      %c5 = const 5 : index
+      %seven = const 7 : i32
+      %ubl = cast %av : index
+      %x1, %y1, %u1, %w1 = for %i = %c0 to %c5 step %c1 iter (%x = %av, %y = %bv, %u = %three, %w = %seven) {
+        %ii = cast %i : i32
+        %k = mul %ii, %three : i32
+        %xk = add %x, %k : i32
+        yield %y, %xk, %w, %u
+      }
+      %x2, %y2, %u2 = for %j = %c0 to %ubl step %c1 iter (%x = %x1, %y = %y1, %u = %u1) {
+        %in = for %q = %c0 to %c5 step %c1 iter (%a2 = %u) {
+          %n = add %a2, %one : i32
+          yield %n
+        }
+        yield %y, %x, %in
+      }
+      %s1 = add %x2, %w1 : i32
+      %s2 = mul %y2, %three : i32
+      %s3 = add %s1, %s2 : i32
+      %s4 = add %s3, %u2 : i32
+      store %s4, %m[%tx]";
+    let model = |a: i32, b: i32| {
+        let (mut x, mut y, mut u, mut w) = (a, b, 3, 7);
+        for i in 0..5 {
+            (x, y, u, w) = (y, x + 3 * i, w, u);
+        }
+        for _ in 0..a {
+            (x, y, u) = (y, x, u + 5);
+        }
+        x + w + 3 * y + u
+    };
+    let n = 40;
+    let a: Vec<i32> = (0..n).map(|i| i % 4).collect();
+    let b: Vec<i32> = (0..n).map(|i| 11 * i - 60).collect();
+    let (out, exec) = differential(&kernel(n as usize, body), &targets::a100(), &a, &b);
+    let want: Vec<i32> = a.iter().zip(&b).map(|(&a, &b)| model(a, b)).collect();
+    assert_eq!(out, want);
+    assert_masked(exec);
+}
+
+/// [`NESTED`] with its accumulator in a shared cell and a global load in the
+/// inner then-arm: loads and stores under one, two and three nested masks.
+const NESTED_MEM: &str = "      store %z, %sm[%tx]
+      %p = cmp ne %av, %z
+      if %p {
+        %ub = cast %bv : index
+        for %i = %c0 to %ub step %c1 {
+          %ii = cast %i : i32
+          %k = add %ii, %av : i32
+          %bit = and %k, %one : i32
+          %q = cmp eq %bit, %z
+          %old = load %sm[%tx] : i32
+          if %q {
+            %v = load %a[%i] : i32
+            %e = add %old, %v : i32
+            store %e, %sm[%tx]
+            yield
+          } else {
+            %t = mul %old, %three : i32
+            %o = add %t, %one : i32
+            store %o, %sm[%tx]
+            yield
+          }
+          yield
+        }
+        %r = load %sm[%tx] : i32
+        store %r, %m[%tx]
+        yield
+      } else {
+        %neg = sub %z, %bv : i32
+        store %neg, %m[%tx]
+        yield
+      }";
+
+fn nested_mem_want(a: &[i32], b: &[i32]) -> Vec<i32> {
+    let model = |av: i32, bv: i32| {
+        if av == 0 {
+            return -bv;
+        }
+        let mut acc = 0i32;
+        for i in 0..bv {
+            acc = if (i + av) & 1 == 0 {
+                acc.wrapping_add(a[i as usize])
+            } else {
+                acc.wrapping_mul(3).wrapping_add(1)
+            };
+        }
+        acc
+    };
+    a.iter().zip(b).map(|(&a, &b)| model(a, b)).collect()
+}
+
+#[test]
+fn ragged_last_warp_with_masked_memory_on_three_widths() {
+    let cpu = targets::cpu_server64();
+    assert_eq!(cpu.exec_width(), 16);
+    for (target, width) in [
+        (cpu.sim_desc(), 16),
+        (targets::a100(), 32),
+        (targets::mi210(), 64),
+    ] {
+        // One full warp and a ragged one of a quarter of the width.
+        let n = width + width / 4;
+        let a: Vec<i32> = (0..n).map(|i| (i + 1) % 4).collect();
+        let b: Vec<i32> = (0..n).map(|i| i % 6).collect();
+        let func = kernel_in(n as usize, SHARED, NESTED_MEM);
+        let (out, exec) = differential(&func, &target, &a, &b);
+        assert_eq!(out, nested_mem_want(&a, &b), "{}", target.name);
+        assert_masked(exec);
+    }
+}
+
+#[test]
+fn sanitizer_changes_nothing_and_sees_the_same_races_in_both_modes() {
+    // Masked stores of every taken lane to one shared cell race with each
+    // other and with the loads of it; nothing read from the cell feeds
+    // control flow, an address or the output, so the runs stay comparable.
+    let body = "      store %z, %sm[%tx]
+      %p = cmp ne %av, %z
+      if %p {
+        %ub = cast %bv : index
+        for %i = %c0 to %ub step %c1 {
+          store %bv, %sm[%c0]
+          %v = load %sm[%tx] : i32
+          yield
+        }
+        yield
+      }
+      %r = load %sm[%c0] : i32
+      store %bv, %m[%tx]";
+    let n = 40;
+    let a: Vec<i32> = (0..n).map(|i| i % 3).collect();
+    let b: Vec<i32> = (0..n).map(|i| i % 5).collect();
+    let func = kernel_in(n as usize, SHARED, body);
+    let target = targets::a100();
+    let run = |mode, sanitize| run_opts(&func, &target, mode, sanitize, &a, &b).expect("runs");
+    let mut races = Vec::new();
+    for mode in [ExecMode::Scalar, ExecMode::WarpVectorized] {
+        let (plain, _, none) = run(mode, false);
+        let (checked, _, found) = run(mode, true);
+        assert_eq!(plain, checked, "{mode:?}: the sanitizer is observational");
+        assert_eq!(plain.out, b);
+        assert!(none.is_empty());
+        assert!(found.iter().any(|r| r.code == "race-ww"), "{found:?}");
+        assert!(found.iter().any(|r| r.code == "race-rw"), "{found:?}");
+        races.push((plain, found));
+    }
+    assert_eq!(races[0], races[1], "scalar and warp runs must agree");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -394,6 +740,27 @@ proptest! {
         let (warp, exec) = run_mode(&func, &target, ExecMode::WarpVectorized, &a, &b).expect("warp");
         prop_assert_eq!(&scalar, &warp);
         prop_assert_eq!(&warp.out, &nested_want(&a, &b));
+        prop_assert_eq!(exec.despooled_warps, 0);
+    }
+
+    /// The same draw over the kernel with loads and stores under the nested
+    /// masks: shared cells and a global load whose address is the iteration.
+    #[test]
+    fn random_masked_loads_and_stores_match_scalar(
+        lanes in prop::collection::vec((0i32..3, 0i32..7), 40..41),
+        which in 0usize..3,
+    ) {
+        let target = match which {
+            0 => targets::a100(),
+            1 => targets::mi210(),
+            _ => targets::cpu_desktop8().sim_desc(),
+        };
+        let (a, b): (Vec<i32>, Vec<i32>) = lanes.into_iter().unzip();
+        let func = kernel_in(a.len(), SHARED, NESTED_MEM);
+        let (scalar, _) = run_mode(&func, &target, ExecMode::Scalar, &a, &b).expect("scalar");
+        let (warp, exec) = run_mode(&func, &target, ExecMode::WarpVectorized, &a, &b).expect("warp");
+        prop_assert_eq!(&scalar, &warp);
+        prop_assert_eq!(&warp.out, &nested_mem_want(&a, &b));
         prop_assert_eq!(exec.despooled_warps, 0);
     }
 }
