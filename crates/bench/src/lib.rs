@@ -9,9 +9,8 @@
 use respec::opt::optimize;
 use respec::sim::SimError;
 use respec::{
-    candidate_configs, targets, tune_kernel_pooled, CoarsenConfig, ExecMode, Function, GpuSim,
-    Module, PhaseTimings, Strategy, TargetDesc, TargetModel, Trace, TuneOptions, TuneResult,
-    TuningCache,
+    candidate_configs, targets, tune_kernel_pooled, ExecMode, Function, GpuSim, Module, Strategy,
+    TargetDesc, TargetModel, Trace, TuneOptions, TuneResult, TuningCache,
 };
 use respec_rodinia::{all_apps_sized, compile_app, App, Workload};
 
@@ -210,211 +209,6 @@ pub fn strategy_best(
         }
     });
     (identity, best)
-}
-
-/// Tuning-engine throughput on one app: wall-clock of a full Combined-
-/// strategy search, serial vs parallel (the `tune_throughput` benchmark's
-/// unit of measurement).
-#[derive(Clone, Debug)]
-pub struct TuneThroughputRow {
-    /// Application name.
-    pub app: String,
-    /// Candidate configurations the search evaluated.
-    pub candidates: usize,
-    /// Wall-clock seconds of the serial (`parallelism = 1`) search.
-    pub serial_seconds: f64,
-    /// Wall-clock seconds of the parallel search.
-    pub parallel_seconds: f64,
-    /// Worker count used for the parallel search.
-    pub parallelism: usize,
-    /// Compilation-cache hit rate of the search (identical for both runs —
-    /// cache behavior is deterministic).
-    pub cache_hit_rate: f64,
-    /// Wall-clock seconds of a serial search against a fresh persistent
-    /// cache directory (misses everywhere, populates the store).
-    pub cold_cache_seconds: f64,
-    /// Wall-clock seconds of the identical search re-run against the
-    /// now-populated store: the stored winner replays, zero compiles and
-    /// zero measurements.
-    pub warm_cache_seconds: f64,
-    /// Persistent-cache hits of the warm run (1 = winner replay).
-    pub warm_persistent_hits: usize,
-    /// Per-phase breakdown of the serial search (busy seconds).
-    pub serial_timings: PhaseTimings,
-    /// Per-phase breakdown of the parallel search (busy seconds summed
-    /// across workers; see [`PhaseTimings`]).
-    pub parallel_timings: PhaseTimings,
-    /// Candidate count of the dedup-visible sweep (see
-    /// [`dedup_sweep_configs`]): literal duplicates included.
-    pub dedup_candidates: usize,
-    /// Unique IR groups of the dedup-visible sweep (compiles performed).
-    pub dedup_unique: usize,
-    /// In-run compilation-cache hit rate of the dedup-visible sweep —
-    /// nonzero by construction, unlike the generated default sweep whose
-    /// configs are duplicate-free and lower to pairwise-distinct IR.
-    pub dedup_cache_hit_rate: f64,
-}
-
-impl TuneThroughputRow {
-    /// Candidates evaluated per second, serial engine.
-    pub fn serial_rate(&self) -> f64 {
-        self.candidates as f64 / self.serial_seconds.max(1e-12)
-    }
-
-    /// Candidates evaluated per second, parallel engine.
-    pub fn parallel_rate(&self) -> f64 {
-        self.candidates as f64 / self.parallel_seconds.max(1e-12)
-    }
-
-    /// Parallel-over-serial wall-clock speedup.
-    pub fn speedup(&self) -> f64 {
-        self.serial_seconds / self.parallel_seconds.max(1e-12)
-    }
-
-    /// Cold-over-warm wall-clock speedup of the persistent cache.
-    pub fn warm_speedup(&self) -> f64 {
-        self.cold_cache_seconds / self.warm_cache_seconds.max(1e-12)
-    }
-}
-
-/// Client-style sweep containing entries that lower to identical IR, so
-/// the engine's structural-hash dedup is visible in the in-run cache hit
-/// rate. The *generated* sweep ([`candidate_configs`]) can never hit this
-/// cache: it is duplicate-free by construction and distinct factors bake
-/// into distinct loop structure. User-assembled grids are not so tidy —
-/// this models the two ways they converge: per-dimension factors that
-/// don't divide the kernel's block shape are clamped to 1 (collapsing
-/// grid cells on kernels with unit dimensions), and the identity arrives
-/// under its no-op alias (block-factor product 1 performs no rewrite).
-pub fn dedup_sweep_configs(block_dims: &[i64]) -> Vec<CoarsenConfig> {
-    let dim = |i: usize| block_dims.get(i).copied().unwrap_or(1).max(1);
-    let clamp = |f: i64, d: i64| if d % f == 0 { f } else { 1 };
-    let mut out = Vec::new();
-    for &b in &[1i64, 2] {
-        for &tx in &[1i64, 2] {
-            for &ty in &[1i64, 2] {
-                out.push(CoarsenConfig {
-                    block: [b, 1, 1],
-                    thread: [clamp(tx, dim(0)), clamp(ty, dim(1)), 1],
-                });
-            }
-        }
-    }
-    out.push(CoarsenConfig {
-        block: [-1, -1, 1],
-        thread: [1, 1, 1],
-    });
-    out
-}
-
-/// Runs the dedup-visible sweep serially on an app's main kernel and
-/// returns `(candidates, unique_groups, cache_hit_rate)`.
-pub fn dedup_sweep_stats(app: &dyn App, target: &TargetDesc) -> (usize, usize, f64) {
-    let module = compiled_module(app, Pipeline::PolygeistNoOpt);
-    let name = app.main_kernel().to_string();
-    let func = module.function(&name).expect("main kernel").clone();
-    let launches = respec::ir::kernel::analyze_function(&func).expect("kernel shape");
-    let configs = dedup_sweep_configs(&launches[0].block_dims);
-    let result = tune_kernel_pooled(
-        &func,
-        target,
-        &configs,
-        &TuneOptions::serial(),
-        || app_runner(app, &module, target, &name),
-        &Trace::disabled(),
-    );
-    match result {
-        Ok(r) => (
-            configs.len(),
-            r.stats.cache_misses,
-            r.stats.cache_hit_rate(),
-        ),
-        Err(_) => (configs.len(), 0, 0.0),
-    }
-}
-
-/// Times a Combined-strategy search per app: once serial, once with
-/// `parallelism` workers, and cold-then-warm against a fresh persistent
-/// cache directory (removed afterwards).
-pub fn tune_throughput_data(
-    workload: Workload,
-    totals: &[i64],
-    parallelism: usize,
-) -> Vec<TuneThroughputRow> {
-    let target = targets::a100();
-    let mut rows = Vec::new();
-    for app in all_apps_sized(workload) {
-        let start = std::time::Instant::now();
-        let (_, serial) = tuned_module_with(
-            app.as_ref(),
-            &target,
-            Strategy::Combined,
-            totals,
-            &TuneOptions::serial(),
-        );
-        let serial_seconds = start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
-        let (_, parallel) = tuned_module_with(
-            app.as_ref(),
-            &target,
-            Strategy::Combined,
-            totals,
-            &TuneOptions::with_parallelism(parallelism),
-        );
-        let parallel_seconds = start.elapsed().as_secs_f64();
-        let result = parallel.as_ref().or(serial.as_ref());
-
-        let cache_dir = std::env::temp_dir().join(format!(
-            "respec-bench-cache-{}-{}",
-            std::process::id(),
-            app.name()
-        ));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let cached_options = || {
-            let cache = TuningCache::open(&cache_dir).expect("bench cache dir");
-            TuneOptions::serial().cache(std::sync::Arc::new(cache))
-        };
-        let start = std::time::Instant::now();
-        let _ = tuned_module_with(
-            app.as_ref(),
-            &target,
-            Strategy::Combined,
-            totals,
-            &cached_options(),
-        );
-        let cold_cache_seconds = start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
-        let (_, warm) = tuned_module_with(
-            app.as_ref(),
-            &target,
-            Strategy::Combined,
-            totals,
-            &cached_options(),
-        );
-        let warm_cache_seconds = start.elapsed().as_secs_f64();
-        let _ = std::fs::remove_dir_all(&cache_dir);
-
-        let (dedup_candidates, dedup_unique, dedup_cache_hit_rate) =
-            dedup_sweep_stats(app.as_ref(), &target);
-
-        rows.push(TuneThroughputRow {
-            app: app.name().to_string(),
-            candidates: result.map(|r| r.candidates.len()).unwrap_or(0),
-            serial_seconds,
-            parallel_seconds,
-            parallelism,
-            cache_hit_rate: result.map(|r| r.stats.cache_hit_rate()).unwrap_or(0.0),
-            cold_cache_seconds,
-            warm_cache_seconds,
-            warm_persistent_hits: warm.map(|r| r.stats.persistent_hits).unwrap_or(0),
-            serial_timings: serial.as_ref().map(|r| r.timings).unwrap_or_default(),
-            parallel_timings: parallel.as_ref().map(|r| r.timings).unwrap_or_default(),
-            dedup_candidates,
-            dedup_unique,
-            dedup_cache_hit_rate,
-        });
-    }
-    rows
 }
 
 /// Interpreter throughput on one app: warp-level instruction issues
@@ -1130,238 +924,6 @@ pub fn cpu_tune(workload: Workload, totals: &[i64]) -> Vec<CpuTuneRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline comparison (`bench_compare`)
-// ---------------------------------------------------------------------------
-
-/// One app's before/after delta between two `BENCH_tune.json` baselines.
-#[derive(Clone, Debug)]
-pub struct BenchDelta {
-    /// Application name.
-    pub app: String,
-    /// Serial wall seconds in the old baseline.
-    pub old_serial_s: f64,
-    /// Serial wall seconds in the new baseline.
-    pub new_serial_s: f64,
-    /// Parallel wall seconds in the old baseline.
-    pub old_parallel_s: f64,
-    /// Parallel wall seconds in the new baseline.
-    pub new_parallel_s: f64,
-    /// Summed CPU-target winner seconds in the old baseline (present when
-    /// the baseline carries `cpu_tune` rows, e.g. `BENCH_cpu.json`).
-    pub old_cpu_s: Option<f64>,
-    /// Summed CPU-target winner seconds in the new baseline.
-    pub new_cpu_s: Option<f64>,
-}
-
-impl BenchDelta {
-    /// Old-over-new serial speedup (> 1 = the new engine is faster).
-    pub fn serial_speedup(&self) -> f64 {
-        self.old_serial_s / self.new_serial_s.max(1e-12)
-    }
-
-    /// Old-over-new parallel speedup (> 1 = the new engine is faster).
-    pub fn parallel_speedup(&self) -> f64 {
-        self.old_parallel_s / self.new_parallel_s.max(1e-12)
-    }
-
-    /// Old-over-new CPU winner speedup, when both baselines carry CPU rows.
-    pub fn cpu_speedup(&self) -> Option<f64> {
-        match (self.old_cpu_s, self.new_cpu_s) {
-            (Some(old), Some(new)) => Some(old / new.max(1e-12)),
-            _ => None,
-        }
-    }
-}
-
-/// Engine-throughput rows of one baseline: `(app, serial_s, parallel_s)`.
-type EngineRows = Vec<(String, f64, f64)>;
-/// Per-app summed CPU winner seconds of one baseline.
-type CpuSeconds = Vec<(String, f64)>;
-
-/// Parses one `BENCH_tune.json` baseline (JSON lines) into
-/// `(app, serial_s, parallel_s)` tuples, in file order, plus per-app summed
-/// CPU winner seconds from any `cpu_tune` rows mixed into the stream.
-fn parse_baseline(content: &str) -> Result<(EngineRows, CpuSeconds), String> {
-    use respec::trace::json::Json;
-    let mut rows = Vec::new();
-    let mut cpu: Vec<(String, f64)> = Vec::new();
-    for (ln, line) in content.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = Json::parse(line).map_err(|e| format!("line {}: {e}", ln + 1))?;
-        let figure = obj.get("figure").and_then(Json::as_str);
-        if !matches!(
-            figure,
-            Some("tune_throughput" | "interp_throughput" | "cpu_tune")
-        ) {
-            continue;
-        }
-        let field = |key: &str| {
-            obj.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("line {}: missing numeric field {key:?}", ln + 1))
-        };
-        let app = obj
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing field \"app\"", ln + 1))?
-            .to_string();
-        if figure == Some("cpu_tune") {
-            if obj.get("kind").and_then(Json::as_str) != Some("cpu") {
-                continue;
-            }
-            let seconds = field("best_s")?;
-            match cpu.iter_mut().find(|(a, _)| *a == app) {
-                Some((_, total)) => *total += seconds,
-                None => cpu.push((app, seconds)),
-            }
-        } else if figure == Some("interp_throughput") {
-            // `BENCH_interp.json`: the scalar and the warp executor take the
-            // serial and parallel columns.
-            rows.push((app, field("scalar_s")?, field("warp_s")?));
-        } else {
-            rows.push((app, field("serial_s")?, field("parallel_s")?));
-        }
-    }
-    Ok((rows, cpu))
-}
-
-/// Diffs two baselines: per-app old-over-new speedup of the serial and
-/// parallel searches (`BENCH_tune.json` rows) — or, in the same two
-/// columns, of the scalar and warp executors (`BENCH_interp.json` rows) —
-/// and of the CPU retargeting winners (`cpu_tune` rows, `BENCH_cpu.json`),
-/// for apps present in both files. Either row family alone is enough to
-/// produce deltas.
-pub fn bench_compare(old: &str, new: &str) -> Result<Vec<BenchDelta>, String> {
-    let (old_rows, old_cpu) = parse_baseline(old)?;
-    let (new_rows, new_cpu) = parse_baseline(new)?;
-    let cpu_of =
-        |set: &[(String, f64)], app: &str| set.iter().find(|(a, _)| a == app).map(|(_, s)| *s);
-    let mut deltas = Vec::new();
-    for (app, old_serial_s, old_parallel_s) in old_rows {
-        if let Some((_, new_serial_s, new_parallel_s)) = new_rows.iter().find(|(a, _, _)| *a == app)
-        {
-            deltas.push(BenchDelta {
-                old_cpu_s: cpu_of(&old_cpu, &app),
-                new_cpu_s: cpu_of(&new_cpu, &app),
-                app,
-                old_serial_s,
-                new_serial_s: *new_serial_s,
-                old_parallel_s,
-                new_parallel_s: *new_parallel_s,
-            });
-        }
-    }
-    // CPU-only baselines (two BENCH_cpu.json files): synthesize rows for
-    // apps that have CPU data on both sides but no engine-throughput rows.
-    for (app, old_s) in &old_cpu {
-        if deltas.iter().any(|d| d.app == *app) {
-            continue;
-        }
-        if let Some(new_s) = cpu_of(&new_cpu, app) {
-            deltas.push(BenchDelta {
-                app: app.clone(),
-                old_serial_s: 0.0,
-                new_serial_s: 0.0,
-                old_parallel_s: 0.0,
-                new_parallel_s: 0.0,
-                old_cpu_s: Some(*old_s),
-                new_cpu_s: Some(new_s),
-            });
-        }
-    }
-    if deltas.is_empty() {
-        return Err("no app appears in both baselines".into());
-    }
-    Ok(deltas)
-}
-
-/// Prints a [`bench_compare`] result as a table with geomean footer. Rows
-/// that carry only one family of data show `-` in the other columns, and
-/// the geomean footer covers whatever is present.
-pub fn print_bench_compare(deltas: &[BenchDelta]) {
-    let fmt_s = |has: bool, v: f64| {
-        if has {
-            format!("{v:.3}")
-        } else {
-            "-".into()
-        }
-    };
-    // CPU winner times are simulated kernel seconds (sub-microsecond), not
-    // wall clock — scientific notation keeps them readable.
-    let fmt_cpu = |v: Option<f64>| match v {
-        Some(v) => format!("{v:.3e}"),
-        None => "-".into(),
-    };
-    let fmt_x = |v: Option<f64>| match v {
-        Some(v) => format!("{v:.2}x"),
-        None => "-".into(),
-    };
-    println!("== bench_compare: old vs new baselines (speedup > 1 = new is faster) ==");
-    println!("   (ser/par: serial/parallel search, or scalar/warp executor for BENCH_interp.json)");
-    println!(
-        "{:<16} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10}",
-        "app",
-        "old ser(s)",
-        "new ser(s)",
-        "speedup",
-        "old par(s)",
-        "new par(s)",
-        "speedup",
-        "old cpu(s)",
-        "new cpu(s)",
-        "speedup"
-    );
-    let mut serial = Vec::new();
-    let mut parallel = Vec::new();
-    let mut cpu = Vec::new();
-    for d in deltas {
-        let has_engine = d.old_serial_s > 0.0 || d.new_serial_s > 0.0;
-        if has_engine {
-            serial.push(d.serial_speedup());
-            parallel.push(d.parallel_speedup());
-        }
-        if let Some(s) = d.cpu_speedup() {
-            cpu.push(s);
-        }
-        println!(
-            "{:<16} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10}",
-            d.app,
-            fmt_s(has_engine, d.old_serial_s),
-            fmt_s(has_engine, d.new_serial_s),
-            fmt_x(has_engine.then(|| d.serial_speedup())),
-            fmt_s(has_engine, d.old_parallel_s),
-            fmt_s(has_engine, d.new_parallel_s),
-            fmt_x(has_engine.then(|| d.parallel_speedup())),
-            fmt_cpu(d.old_cpu_s),
-            fmt_cpu(d.new_cpu_s),
-            fmt_x(d.cpu_speedup())
-        );
-    }
-    let footer = |vals: &[f64]| {
-        if vals.is_empty() {
-            "-".into()
-        } else {
-            format!("{:.2}x", geomean(vals))
-        }
-    };
-    println!(
-        "{:<16} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10}   (geomean)",
-        "geomean",
-        "",
-        "",
-        footer(&serial),
-        "",
-        "",
-        footer(&parallel),
-        "",
-        "",
-        footer(&cpu)
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Fat binaries (`BENCH_fatbin.json`)
 // ---------------------------------------------------------------------------
 
@@ -1613,10 +1175,7 @@ pub fn print_fatbin(rows: &[FatbinRow]) {
 pub mod jsonout {
     use respec::trace::json::JsonObject;
 
-    use super::{
-        CpuTuneRow, FatbinRow, Fig13Row, Fig16Row, InterpThroughputRow, ProfileRow,
-        TuneThroughputRow,
-    };
+    use super::{CpuTuneRow, FatbinRow, Fig13Row, Fig16Row, InterpThroughputRow, ProfileRow};
 
     /// Fat-binary coverage rows (`BENCH_fatbin.json`): the variant-count
     /// vs. coverage curve — one object per app × ε.
@@ -1801,52 +1360,6 @@ pub mod jsonout {
         out
     }
 
-    /// Tuning-engine throughput rows (`BENCH_tune.json` baseline):
-    /// candidates/sec serial vs parallel plus the cache hit rate, so later
-    /// engine changes have a perf trajectory to compare against.
-    pub fn tune_throughput_lines(rows: &[TuneThroughputRow]) -> String {
-        let mut out = String::new();
-        for r in rows {
-            out.push_str(
-                &JsonObject::new()
-                    .str("figure", "tune_throughput")
-                    .str("app", &r.app)
-                    .u64("candidates", r.candidates as u64)
-                    .u64("parallelism", r.parallelism as u64)
-                    .f64("serial_s", r.serial_seconds)
-                    .f64("parallel_s", r.parallel_seconds)
-                    .f64("candidates_per_sec_serial", r.serial_rate())
-                    .f64("candidates_per_sec_parallel", r.parallel_rate())
-                    .f64("speedup", r.speedup())
-                    .f64("cache_hit_rate", r.cache_hit_rate)
-                    .f64("cold_cache_s", r.cold_cache_seconds)
-                    .f64("warm_cache_s", r.warm_cache_seconds)
-                    .f64("warm_speedup", r.warm_speedup())
-                    .u64("warm_persistent_hits", r.warm_persistent_hits as u64)
-                    .f64("serial_prepare_s", r.serial_timings.prepare_seconds)
-                    .f64("serial_compile_s", r.serial_timings.compile_seconds)
-                    .f64("serial_measure_s", r.serial_timings.measure_seconds)
-                    .f64(
-                        "serial_pool_overhead_s",
-                        r.serial_timings.pool_overhead_seconds,
-                    )
-                    .f64("parallel_prepare_s", r.parallel_timings.prepare_seconds)
-                    .f64("parallel_compile_s", r.parallel_timings.compile_seconds)
-                    .f64("parallel_measure_s", r.parallel_timings.measure_seconds)
-                    .f64(
-                        "parallel_pool_overhead_s",
-                        r.parallel_timings.pool_overhead_seconds,
-                    )
-                    .u64("dedup_candidates", r.dedup_candidates as u64)
-                    .u64("dedup_unique", r.dedup_unique as u64)
-                    .f64("dedup_cache_hit_rate", r.dedup_cache_hit_rate)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        out
-    }
-
     /// Interpreter-throughput rows (`BENCH_interp.json` baseline):
     /// warp-level issues per host second, scalar vs warp-vectorized, so
     /// interpreter changes have a perf trajectory to compare against.
@@ -2001,28 +1514,6 @@ mod tests {
     }
 
     #[test]
-    fn tune_throughput_rows_are_json_clean() {
-        let rows = tune_throughput_data(Workload::Small, &[1, 2], 2);
-        assert!(!rows.is_empty());
-        for r in &rows {
-            assert!(r.candidates > 0);
-            assert!(r.serial_seconds > 0.0 && r.parallel_seconds > 0.0);
-            assert!((0.0..=1.0).contains(&r.cache_hit_rate));
-            // The phase breakdown accounts for real work and never exceeds
-            // the wall clock by more than the worker fan-out allows.
-            assert!(r.serial_timings.wall_seconds > 0.0);
-            assert!(r.serial_timings.prepare_seconds > 0.0);
-            assert!(r.serial_timings.measure_seconds > 0.0);
-            assert!(r.serial_timings.pool_overhead_seconds >= 0.0);
-            assert!(r.parallel_timings.wall_seconds > 0.0);
-            // The dedup-visible sweep hits the in-run cache by construction.
-            assert!(r.dedup_candidates > r.dedup_unique);
-            assert!(r.dedup_cache_hit_rate > 0.0);
-        }
-        assert_json_lines(&jsonout::tune_throughput_lines(&rows), "tune_throughput");
-    }
-
-    #[test]
     fn interp_throughput_rows_are_json_clean() {
         let rows = interp_throughput_data(Workload::Small, 1);
         assert!(!rows.is_empty());
@@ -2035,37 +1526,5 @@ mod tests {
             &jsonout::interp_throughput_lines(&rows),
             "interp_throughput",
         );
-    }
-
-    #[test]
-    fn bench_compare_diffs_baselines_by_app() {
-        let old = concat!(
-            "{\"figure\":\"tune_throughput\",\"app\":\"lud\",\"serial_s\":2.0,\"parallel_s\":1.0}\n",
-            "{\"figure\":\"tune_throughput\",\"app\":\"nw\",\"serial_s\":4.0,\"parallel_s\":2.0}\n",
-            "{\"figure\":\"tune_throughput\",\"app\":\"gone\",\"serial_s\":1.0,\"parallel_s\":1.0}\n",
-        );
-        let new = concat!(
-            "{\"figure\":\"tune_throughput\",\"app\":\"lud\",\"serial_s\":1.0,\"parallel_s\":0.5}\n",
-            "{\"figure\":\"tune_throughput\",\"app\":\"nw\",\"serial_s\":8.0,\"parallel_s\":4.0}\n",
-            "{\"figure\":\"fig13\",\"app\":\"lud\",\"thread_only\":1.0}\n",
-        );
-        let deltas = bench_compare(old, new).unwrap();
-        assert_eq!(deltas.len(), 2, "only apps present in both baselines");
-        assert_eq!(deltas[0].app, "lud");
-        assert!((deltas[0].serial_speedup() - 2.0).abs() < 1e-12);
-        assert!((deltas[0].parallel_speedup() - 2.0).abs() < 1e-12);
-        assert_eq!(deltas[1].app, "nw");
-        assert!((deltas[1].serial_speedup() - 0.5).abs() < 1e-12);
-        // Executor baselines diff scalar and warp seconds in the same columns.
-        let old =
-            "{\"figure\":\"interp_throughput\",\"app\":\"lud\",\"scalar_s\":2.0,\"warp_s\":1.0}\n";
-        let new =
-            "{\"figure\":\"interp_throughput\",\"app\":\"lud\",\"scalar_s\":2.0,\"warp_s\":0.5}\n";
-        let deltas = bench_compare(old, new).unwrap();
-        assert!((deltas[0].serial_speedup() - 1.0).abs() < 1e-12);
-        assert!((deltas[0].parallel_speedup() - 2.0).abs() < 1e-12);
-        // Malformed input is an error, not a panic.
-        assert!(bench_compare("not json", new).is_err());
-        assert!(bench_compare(old, "").is_err());
     }
 }

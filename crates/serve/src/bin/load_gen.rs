@@ -4,7 +4,7 @@
 //! ```text
 //! load_gen (--spawn | --addr HOST:PORT) [--clients N] [--requests N]
 //!          [--workers N] [--zipf S] [--seed N] [--shutdown]
-//!          [--assert-coalesced] [--cache-dir PATH] [--out PATH]
+//!          [--assert-coalesced] [--cache-dir PATH]
 //! ```
 //!
 //! Every client's *first* request is the same (rank-1 app, first target),
@@ -13,11 +13,11 @@
 //! zipf distribution over the registry's popularity order, so hot keys
 //! keep colliding while the tail stays cold.
 //!
-//! Writes `BENCH_serve.json` at the workspace root (or `--out`).
+//! Prints the report as one JSON line on stdout.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -36,7 +36,6 @@ struct Options {
     shutdown: bool,
     assert_coalesced: bool,
     cache_dir: Option<PathBuf>,
-    out: Option<PathBuf>,
 }
 
 impl Default for Options {
@@ -52,7 +51,6 @@ impl Default for Options {
             shutdown: false,
             assert_coalesced: false,
             cache_dir: None,
-            out: None,
         }
     }
 }
@@ -61,7 +59,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: load_gen (--spawn | --addr HOST:PORT) [--clients N] [--requests N] \
          [--workers N] [--zipf S] [--seed N] [--shutdown] [--assert-coalesced] \
-         [--cache-dir PATH] [--out PATH]"
+         [--cache-dir PATH]"
     );
     std::process::exit(2);
 }
@@ -82,7 +80,6 @@ fn parse_options() -> Options {
             "--shutdown" => opt.shutdown = true,
             "--assert-coalesced" => opt.assert_coalesced = true,
             "--cache-dir" => opt.cache_dir = Some(value().into()),
-            "--out" => opt.out = Some(value().into()),
             _ => usage(),
         }
     }
@@ -173,12 +170,15 @@ fn run_client(
     barrier: &Barrier,
 ) -> Vec<Sample> {
     let mut samples = Vec::new();
-    let Ok(mut client) = Client::connect(addr) else {
+    // Every client reaches the barrier, connected or not: the others wait
+    // for all `clients` of them.
+    let client = Client::connect(addr);
+    barrier.wait();
+    let Ok(mut client) = client else {
         return samples;
     };
     let mut rng = Rng(opt.seed ^ (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let cdf = zipf_cdf(apps.len(), opt.zipf);
-    barrier.wait();
     for r in 0..opt.requests {
         // Request 0 is the synchronized herd: every client asks for the
         // rank-1 key at the same instant.
@@ -216,13 +216,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-fn workspace_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
 }
 
 fn main() -> ExitCode {
@@ -351,14 +344,6 @@ fn main() -> ExitCode {
         .i64("server_rejected_overload", stat("rejected_overload"))
         .finish();
 
-    let out = opt
-        .out
-        .clone()
-        .unwrap_or_else(|| workspace_root().join("BENCH_serve.json"));
-    if let Err(e) = std::fs::write(&out, format!("{report}\n")) {
-        eprintln!("load_gen: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
     println!("{report}");
 
     if opt.shutdown || server.is_some() {
@@ -386,4 +371,42 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::*;
+
+    #[test]
+    fn a_client_that_cannot_connect_still_reaches_the_barrier() {
+        // A port whose listener is gone refuses connections.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind a local port")
+            .to_string();
+        let barrier = Arc::new(Barrier::new(2));
+        let (passed, waited) = mpsc::channel();
+        let other = Arc::clone(&barrier);
+        let connected = std::thread::spawn(move || {
+            other.wait();
+            let _ = passed.send(());
+        });
+        let samples = run_client(
+            &addr,
+            0,
+            &Options::default(),
+            &["app".to_string()],
+            &["target".to_string()],
+            &barrier,
+        );
+        assert!(samples.is_empty(), "a refused client sends nothing");
+        waited
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the connected client passes the barrier");
+        connected.join().expect("the connected client exits");
+    }
 }

@@ -20,7 +20,7 @@ use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Num};
 use crate::memory::DeviceMemory;
 use crate::value::{MemVal, RtVal, Store};
 
-/// Counts every [`Interp`] construction (`new`/`with_program`), *not*
+/// Counts every `Interp` construction (`new`/`with_program`), *not*
 /// restarts. Allocation-regression tests assert that the launch loop reuses
 /// interpreters across blocks instead of rebuilding them.
 #[doc(hidden)]
@@ -59,7 +59,7 @@ impl From<SimError> for respec_ir::Diagnostic {
 /// by `(op, occ)` — the same static instruction at the same dynamic
 /// occurrence across threads forms one warp access.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MemEvent {
+pub(crate) struct MemEvent {
     /// Static operation (as raw arena index).
     pub op: u32,
     /// Dynamic occurrence of the op within the current phase.
@@ -124,7 +124,7 @@ pub(crate) struct AccessRecord {
 /// lists the merger regroups by `(op, occurrence)`; `spill`
 /// converts the first form into the second.
 #[derive(Clone, Debug)]
-pub struct WarpCounters {
+pub(crate) struct WarpCounters {
     stride: usize,
     /// Live lanes of the warp (a ragged last warp has fewer than `stride`).
     pub(crate) lanes: usize,
@@ -151,7 +151,7 @@ pub struct WarpCounters {
 impl WarpCounters {
     /// Creates counters for a warp of up to `stride` lanes over a function
     /// with `num_ops` operations.
-    pub fn new(num_ops: usize, stride: usize) -> WarpCounters {
+    pub(crate) fn new(num_ops: usize, stride: usize) -> WarpCounters {
         assert!(stride <= 256, "lane ids are stored in a byte");
         WarpCounters {
             stride,
@@ -171,7 +171,7 @@ impl WarpCounters {
 
     /// Clears the counters for the next phase of a warp of `lanes` lanes;
     /// `per_lane` starts it in the event-list form.
-    pub fn reset(&mut self, lanes: usize, per_lane: bool) {
+    pub(crate) fn reset(&mut self, lanes: usize, per_lane: bool) {
         debug_assert!(lanes <= self.stride);
         for &op in &self.touched {
             let op = op as usize;
@@ -195,7 +195,7 @@ impl WarpCounters {
 
     /// Clears one lane for its next phase (event-list form only: the other
     /// lanes may keep the stale counters of a phase they finished in).
-    pub fn reset_lane(&mut self, lane: usize) {
+    pub(crate) fn reset_lane(&mut self, lane: usize) {
         debug_assert!(self.per_lane, "lanes reset one by one only after a spill");
         for &op in &self.touched {
             self.lane[op as usize * self.stride + lane] = 0;
@@ -204,13 +204,13 @@ impl WarpCounters {
     }
 
     /// The counters as one scalar lane sees them.
-    pub fn lane(&mut self, lane: usize) -> LaneCounters<'_> {
+    pub(crate) fn lane(&mut self, lane: usize) -> LaneCounters<'_> {
         debug_assert!(self.per_lane, "scalar lanes record events, not records");
         LaneCounters { warp: self, lane }
     }
 
     /// Memory events of one lane (event-list form).
-    pub fn events(&self, lane: usize) -> &[MemEvent] {
+    pub(crate) fn events(&self, lane: usize) -> &[MemEvent] {
         &self.events[lane]
     }
 
@@ -368,7 +368,7 @@ impl WarpCounters {
 
 /// One scalar lane's view of its warp's [`WarpCounters`].
 #[derive(Debug)]
-pub struct LaneCounters<'a> {
+pub(crate) struct LaneCounters<'a> {
     warp: &'a mut WarpCounters,
     lane: usize,
 }
@@ -408,7 +408,7 @@ impl LaneCounters<'_> {
 
 /// Classifies an op for the timing model; `None` means "free" (constants,
 /// casts, structural terminators).
-pub fn classify(func: &Function, op: OpId) -> Option<InstClass> {
+pub(crate) fn classify(func: &Function, op: OpId) -> Option<InstClass> {
     let operation = func.op(op);
     let scalar = |v: Value| func.value_type(v).as_scalar();
     match &operation.kind {
@@ -469,7 +469,7 @@ pub fn classify(func: &Function, op: OpId) -> Option<InstClass> {
 
 /// What happened on one interpreter step.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StepEvent {
+pub(crate) enum StepEvent {
     /// An ordinary operation executed.
     Ran,
     /// Execution reached a barrier and suspended (thread scope only).
@@ -510,7 +510,7 @@ pub(crate) struct Frame {
 }
 
 /// Execution context shared by the interpreters of one scope tree.
-pub struct StepCx<'a> {
+pub(crate) struct StepCx<'a> {
     /// Simulated device memory.
     pub mem: &'a mut DeviceMemory,
     /// Value stores of enclosing scopes (innermost first).
@@ -524,7 +524,7 @@ pub struct StepCx<'a> {
 
 /// A resumable interpreter for one region tree of a function.
 #[derive(Clone, Debug)]
-pub struct Interp<'f> {
+pub(crate) struct Interp<'f> {
     func: &'f Function,
     program: Arc<DecodedProgram>,
     frames: Vec<Frame>,
@@ -576,7 +576,8 @@ impl<'f> Interp<'f> {
     /// Region arguments must be bound into [`Interp::store`] by the caller
     /// before stepping. Callers that drive many interpreters over one
     /// function should decode once and share via `Interp::with_program`.
-    pub fn new(func: &'f Function, region: RegionId) -> Interp<'f> {
+    #[cfg(test)]
+    pub(crate) fn new(func: &'f Function, region: RegionId) -> Interp<'f> {
         Interp::with_program(func, Arc::new(DecodedProgram::decode(func)), region)
     }
 
@@ -603,7 +604,7 @@ impl<'f> Interp<'f> {
 
     /// Rewinds the interpreter to the start of `region`, clearing all local
     /// bindings (for reuse across threads/blocks without reallocation).
-    pub fn restart(&mut self, region: RegionId) {
+    pub(crate) fn restart(&mut self, region: RegionId) {
         self.frames.clear();
         self.frames.push(Frame {
             region,
@@ -625,7 +626,7 @@ impl<'f> Interp<'f> {
     }
 
     /// Returns `true` once the scope has finished.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 
@@ -642,7 +643,8 @@ impl<'f> Interp<'f> {
     /// Runs until the scope finishes, treating barriers and nested parallels
     /// as errors — the mode for host-level and block-level straight-line
     /// code outside parallel loops.
-    pub fn run_serial(&mut self, cx: &mut StepCx<'_>) -> Result<(), SimError> {
+    #[cfg(test)]
+    pub(crate) fn run_serial(&mut self, cx: &mut StepCx<'_>) -> Result<(), SimError> {
         let program = Arc::clone(&self.program);
         loop {
             match self.step_in(&program, cx)? {
@@ -657,7 +659,7 @@ impl<'f> Interp<'f> {
     }
 
     /// Runs until a barrier, a nested parallel, or completion.
-    pub fn run_phase(&mut self, cx: &mut StepCx<'_>) -> Result<StepEvent, SimError> {
+    pub(crate) fn run_phase(&mut self, cx: &mut StepCx<'_>) -> Result<StepEvent, SimError> {
         let program = Arc::clone(&self.program);
         loop {
             match self.step_in(&program, cx)? {
@@ -665,12 +667,6 @@ impl<'f> Interp<'f> {
                 other => return Ok(other),
             }
         }
-    }
-
-    /// Executes one operation.
-    pub fn step(&mut self, cx: &mut StepCx<'_>) -> Result<StepEvent, SimError> {
-        let program = Arc::clone(&self.program);
-        self.step_in(&program, cx)
     }
 
     fn step_in(

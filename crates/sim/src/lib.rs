@@ -60,10 +60,7 @@ mod warp;
 
 pub use cache::{bank_conflict_factor, coalesce_sectors, Cache};
 pub use fault::{EnvConfigError, Fault, FaultKind, FaultPlan, FaultSite, FaultSpec};
-pub use interp::{
-    classify, InstClass, Interp, LaneCounters, MemEvent, SimError, StepCx, StepEvent, WarpCounters,
-    INTERP_BUILDS,
-};
+pub use interp::{InstClass, SimError, INTERP_BUILDS};
 pub use launch::{
     ExecCounters, ExecMode, GpuSim, HostTime, KernelArg, KernelTiming, LaunchOptions, LaunchReport,
     RaceRecord,
