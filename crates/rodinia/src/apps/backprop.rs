@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, random_f32, App, Workload};
+use crate::framework::{random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define W 16
@@ -110,15 +110,10 @@ impl App for Backprop {
         let pb = sim.mem.alloc_f32(&vec![0.0; blocks as usize * h]);
         let db = sim.mem.alloc_f32(&delta);
         let ob = sim.mem.alloc_f32(&oldw);
-        let forward = module
-            .function("layerforward")
-            .expect("layerforward kernel");
-        let adjust = module
-            .function("adjust_weights")
-            .expect("adjust_weights kernel");
-        launch_auto(
+        let forward = Kernel::new(sim, module, "layerforward");
+        let adjust = Kernel::new(sim, module, "adjust_weights");
+        forward.launch(
             sim,
-            forward,
             [1, blocks, 1],
             &[
                 KernelArg::Buf(ib),
@@ -137,9 +132,8 @@ impl App for Backprop {
             }
             *hval = 1.0 / (1.0 + (-sum).exp());
         }
-        launch_auto(
+        adjust.launch(
             sim,
-            adjust,
             [1, blocks, 1],
             &[
                 KernelArg::Buf(db),

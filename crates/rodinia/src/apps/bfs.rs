@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, App, Workload};
+use crate::framework::{ceil_div, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void bfs_kernel1(int* row_start, int* col_idx, int* mask, int* visited,
@@ -125,14 +125,13 @@ impl App for Bfs {
         let updb = sim.mem.alloc_i32(&vec![0; n]);
         let costb = sim.mem.alloc_i32(&cost);
         let stopb = sim.mem.alloc_i32(&[0]);
-        let k1 = module.function("bfs_kernel1").expect("bfs kernel 1");
-        let k2 = module.function("bfs_kernel2").expect("bfs kernel 2");
+        let k1 = Kernel::new(sim, module, "bfs_kernel1");
+        let k2 = Kernel::new(sim, module, "bfs_kernel2");
         let g = ceil_div(n as i64, 128);
         loop {
             sim.mem.write_i32(stopb, &[0]);
-            launch_auto(
+            k1.launch(
                 sim,
-                k1,
                 [g, 1, 1],
                 &[
                     KernelArg::Buf(rb),
@@ -144,9 +143,8 @@ impl App for Bfs {
                     KernelArg::I32(n as i32),
                 ],
             )?;
-            launch_auto(
+            k2.launch(
                 sim,
-                k2,
                 [g, 1, 1],
                 &[
                     KernelArg::Buf(maskb),

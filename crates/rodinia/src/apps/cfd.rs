@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f32, App, Workload};
+use crate::framework::{ceil_div, random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define NNB 4
@@ -131,12 +131,11 @@ impl App for Cfd {
             sim.mem.alloc_f32(&vec![0.0; n]),
         ];
         let nb = sim.mem.alloc_i32(&neigh);
-        let kernel = module.function("cfd_flux").expect("cfd kernel");
+        let kernel = Kernel::new(sim, module, "cfd_flux");
         let g = ceil_div(n as i64, 128);
         for _ in 0..self.iters {
-            launch_auto(
+            kernel.launch(
                 sim,
-                kernel,
                 [g, 1, 1],
                 &[
                     KernelArg::Buf(src[0]),

@@ -9,7 +9,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f32, App, Workload};
+use crate::framework::{ceil_div, random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void fan1(float* m, float* a, int size, int t) {
@@ -88,13 +88,13 @@ impl App for Gaussian {
         let ab = sim.mem.alloc_f32(&a);
         let bb = sim.mem.alloc_f32(&b);
         let mb = sim.mem.alloc_f32(&vec![0.0; n * n]);
-        let fan1 = module.function("fan1").expect("fan1 kernel");
-        let fan2 = module.function("fan2").expect("fan2 kernel");
+        let fan1 = Kernel::new(sim, module, "fan1");
+        let fan2 = Kernel::new(sim, module, "fan2");
         for t in 0..n - 1 {
             let rows = (n - 1 - t) as i64;
             let g1 = ceil_div(rows, 16).max(1);
-            sim.launch(
-                fan1,
+            fan1.launch(
+                sim,
                 [g1, 1, 1],
                 &[
                     KernelArg::Buf(mb),
@@ -102,14 +102,12 @@ impl App for Gaussian {
                     KernelArg::I32(n as i32),
                     KernelArg::I32(t as i32),
                 ],
-                crate::framework::registers_for(sim, fan1),
             )?;
             let cols = (n - t) as i64;
             let g2x = ceil_div(cols, 16).max(1);
             let g2y = ceil_div(rows, 16).max(1);
-            launch_auto(
+            fan2.launch(
                 sim,
-                fan2,
                 [g2x, g2y, 1],
                 &[
                     KernelArg::Buf(mb),

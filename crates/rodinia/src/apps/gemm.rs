@@ -10,7 +10,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, random_f32, App, Workload};
+use crate::framework::{random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define TS 16
@@ -103,7 +103,7 @@ impl App for Gemm {
         let ab = sim.mem.alloc_f32(&a);
         let bb = sim.mem.alloc_f32(&b);
         let cb = sim.mem.alloc_f32(&vec![0.0; m * n]);
-        let func = module.function("gemm_tiled").expect("gemm_tiled kernel");
+        let func = Kernel::new(sim, module, "gemm_tiled");
         let args = [
             KernelArg::Buf(ab),
             KernelArg::Buf(bb),
@@ -112,7 +112,7 @@ impl App for Gemm {
             KernelArg::I32(n as i32),
             KernelArg::I32(k as i32),
         ];
-        launch_auto(sim, func, [(n / 16) as i64, (m / 16) as i64, 1], &args)?;
+        func.launch(sim, [(n / 16) as i64, (m / 16) as i64, 1], &args)?;
         Ok(sim.mem.read_f32(cb).into_iter().map(|v| v as f64).collect())
     }
 

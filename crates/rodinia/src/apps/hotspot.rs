@@ -7,7 +7,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, random_f32, App, Workload};
+use crate::framework::{random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define BS 16
@@ -95,12 +95,11 @@ impl App for Hotspot {
         let pb = sim.mem.alloc_f32(&power);
         let mut src = sim.mem.alloc_f32(&temp);
         let mut dst = sim.mem.alloc_f32(&vec![0.0; n * n]);
-        let kernel = module.function("hotspot_kernel").expect("hotspot kernel");
+        let kernel = Kernel::new(sim, module, "hotspot_kernel");
         let g = (n / 16) as i64;
         for _ in 0..self.steps {
-            launch_auto(
+            kernel.launch(
                 sim,
-                kernel,
                 [g, g, 1],
                 &[
                     KernelArg::Buf(pb),

@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, random_f64, App, Workload};
+use crate::framework::{random_f64, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void hotspot3d_kernel(double* power, double* src, double* dst,
@@ -98,14 +98,11 @@ impl App for Hotspot3D {
         let pb = sim.mem.alloc_f64(&power);
         let mut src = sim.mem.alloc_f64(&temp);
         let mut dst = sim.mem.alloc_f64(&vec![0.0; n]);
-        let kernel = module
-            .function("hotspot3d_kernel")
-            .expect("hotspot3D kernel");
+        let kernel = Kernel::new(sim, module, "hotspot3d_kernel");
         let grid = [(nx / 16) as i64, (ny / 8) as i64, (nz / 2) as i64];
         for _ in 0..self.steps {
-            launch_auto(
+            kernel.launch(
                 sim,
-                kernel,
                 grid,
                 &[
                     KernelArg::Buf(pb),

@@ -11,7 +11,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, random_f64, App, Workload};
+use crate::framework::{random_f64, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define PAR 64
@@ -137,10 +137,9 @@ impl App for LavaMd {
         let qb = sim.mem.alloc_f64(&qv);
         let fvb = sim.mem.alloc_f64(&vec![0.0; n * 4]);
         let nb = sim.mem.alloc_i32(&nei);
-        let kernel = module.function("lavamd_kernel").expect("lavaMD kernel");
-        launch_auto(
+        let kernel = Kernel::new(sim, module, "lavamd_kernel");
+        kernel.launch(
             sim,
-            kernel,
             [self.boxes as i64, 1, 1],
             &[
                 KernelArg::Buf(rxb),

@@ -10,7 +10,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, random_f32, App, Workload};
+use crate::framework::{random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define BS 16
@@ -165,15 +165,9 @@ impl App for Lud {
         let n = self.size;
         let a = self.input();
         let mb = sim.mem.alloc_f32(&a);
-        let diagonal = module
-            .function("lud_diagonal")
-            .expect("lud_diagonal kernel");
-        let perimeter = module
-            .function("lud_perimeter")
-            .expect("lud_perimeter kernel");
-        let internal = module
-            .function("lud_internal")
-            .expect("lud_internal kernel");
+        let diagonal = Kernel::new(sim, module, "lud_diagonal");
+        let perimeter = Kernel::new(sim, module, "lud_perimeter");
+        let internal = Kernel::new(sim, module, "lud_internal");
         let nb = n / 16;
         for step in 0..nb {
             let offset = (step * 16) as i32;
@@ -182,11 +176,11 @@ impl App for Lud {
                 KernelArg::I32(n as i32),
                 KernelArg::I32(offset),
             ];
-            launch_auto(sim, diagonal, [1, 1, 1], &args)?;
+            diagonal.launch(sim, [1, 1, 1], &args)?;
             let rest = (nb - step - 1) as i64;
             if rest > 0 {
-                launch_auto(sim, perimeter, [rest, 1, 1], &args)?;
-                launch_auto(sim, internal, [rest, rest, 1], &args)?;
+                perimeter.launch(sim, [rest, 1, 1], &args)?;
+                internal.launch(sim, [rest, rest, 1], &args)?;
             }
         }
         Ok(sim.mem.read_f32(mb).into_iter().map(|v| v as f64).collect())

@@ -9,7 +9,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f32, App, Workload};
+use crate::framework::{ceil_div, random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void myocyte_kernel(float* y0, float* out, int steps, int n) {
@@ -79,11 +79,10 @@ impl App for Myocyte {
         let n = self.instances;
         let yb = sim.mem.alloc_f32(&self.input());
         let ob = sim.mem.alloc_f32(&vec![0.0; n]);
-        let kernel = module.function("myocyte_kernel").expect("myocyte kernel");
+        let kernel = Kernel::new(sim, module, "myocyte_kernel");
         let g = ceil_div(n as i64, 32);
-        launch_auto(
+        kernel.launch(
             sim,
-            kernel,
             [g, 1, 1],
             &[
                 KernelArg::Buf(yb),

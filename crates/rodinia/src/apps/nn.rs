@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f32, App, Workload};
+use crate::framework::{ceil_div, random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void nn_kernel(float* lat, float* lon, float* dist, int n, float tlat, float tlon) {
@@ -73,11 +73,10 @@ impl App for Nn {
         let latb = sim.mem.alloc_f32(&lat);
         let lonb = sim.mem.alloc_f32(&lon);
         let db = sim.mem.alloc_f32(&vec![0.0; n]);
-        let kernel = module.function("nn_kernel").expect("nn kernel");
+        let kernel = Kernel::new(sim, module, "nn_kernel");
         let g = ceil_div(n as i64, 64);
-        launch_auto(
+        kernel.launch(
             sim,
-            kernel,
             [g, 1, 1],
             &[
                 KernelArg::Buf(latb),

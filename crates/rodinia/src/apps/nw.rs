@@ -9,7 +9,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{launch_auto, App, Workload};
+use crate::framework::{App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define BS 16
@@ -135,7 +135,7 @@ impl App for Nw {
         let nb = (n / 16) as i64; // tile blocks per side
         let rb = sim.mem.alloc_i32(&self.scores());
         let ib = sim.mem.alloc_i32(&self.boundary());
-        let kernel = module.function("nw_kernel").expect("nw kernel");
+        let kernel = Kernel::new(sim, module, "nw_kernel");
         // Anti-diagonal waves over tile blocks: d = bx + by ∈ [0, 2nb-2].
         for dd in 0..(2 * nb - 1) {
             let xoff = (dd - nb + 1).max(0);
@@ -143,9 +143,8 @@ impl App for Nw {
             if count == 0 {
                 continue;
             }
-            launch_auto(
+            kernel.launch(
                 sim,
-                kernel,
                 [count, 1, 1],
                 &[
                     KernelArg::Buf(rb),

@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f64, App, Workload};
+use crate::framework::{ceil_div, random_f64, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void pf_kernel(double* x, double* y, double* w, int n,
@@ -86,13 +86,12 @@ impl App for ParticleFilter {
         let xb = sim.mem.alloc_f64(&x);
         let yb = sim.mem.alloc_f64(&y);
         let wb = sim.mem.alloc_f64(&w);
-        let kernel = module.function("pf_kernel").expect("particlefilter kernel");
+        let kernel = Kernel::new(sim, module, "pf_kernel");
         let g = ceil_div(n as i64, 128);
         let mut estimates = Vec::new();
         for (f, (ox, oy)) in self.observations().into_iter().enumerate() {
-            launch_auto(
+            kernel.launch(
                 sim,
-                kernel,
                 [g, 1, 1],
                 &[
                     KernelArg::Buf(xb),

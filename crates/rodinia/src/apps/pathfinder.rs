@@ -5,7 +5,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, App, Workload};
+use crate::framework::{ceil_div, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define BS 256
@@ -87,14 +87,11 @@ impl App for Pathfinder {
         let wb = sim.mem.alloc_i32(&wall);
         let mut src = sim.mem.alloc_i32(&wall[..self.cols]);
         let mut dst = sim.mem.alloc_i32(&vec![0; self.cols]);
-        let kernel = module
-            .function("dynproc_kernel")
-            .expect("pathfinder kernel");
+        let kernel = Kernel::new(sim, module, "dynproc_kernel");
         let g = ceil_div(self.cols as i64, 256);
         for t in 0..self.rows - 1 {
-            launch_auto(
+            kernel.launch(
                 sim,
-                kernel,
                 [g, 1, 1],
                 &[
                     KernelArg::Buf(wb),

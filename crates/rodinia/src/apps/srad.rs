@@ -8,7 +8,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f32, App, Workload};
+use crate::framework::{ceil_div, random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 #define RBS 128
@@ -126,12 +126,11 @@ impl App for SradV1 {
         let rblocks = ceil_div(n as i64, 128);
         let sb = sim.mem.alloc_f32(&vec![0.0; rblocks as usize]);
         let s2b = sim.mem.alloc_f32(&vec![0.0; rblocks as usize]);
-        let reduce = module.function("srad_reduce").expect("srad_reduce kernel");
-        let main = module.function("srad_kernel").expect("srad_kernel kernel");
+        let reduce = Kernel::new(sim, module, "srad_reduce");
+        let main = Kernel::new(sim, module, "srad_kernel");
         for _ in 0..self.iters {
-            launch_auto(
+            reduce.launch(
                 sim,
-                reduce,
                 [rblocks, 1, 1],
                 &[
                     KernelArg::Buf(src),
@@ -147,9 +146,8 @@ impl App for SradV1 {
             let mean = total / n as f32;
             let var = total2 / n as f32 - mean * mean;
             let q0s = var / (mean * mean);
-            launch_auto(
+            main.launch(
                 sim,
-                main,
                 [(self.cols / 16) as i64, (self.rows / 16) as i64, 1],
                 &[
                     KernelArg::Buf(src),

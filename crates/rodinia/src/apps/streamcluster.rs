@@ -4,7 +4,7 @@ use respec_frontend::KernelSpec;
 use respec_ir::Module;
 use respec_sim::{GpuSim, KernelArg, SimError};
 
-use crate::framework::{ceil_div, launch_auto, random_f32, App, Workload};
+use crate::framework::{ceil_div, random_f32, App, Kernel, Workload};
 
 const SOURCE: &str = r#"
 __global__ void sc_kernel(float* points, float* centers, int* assign, float* costs,
@@ -87,11 +87,10 @@ impl App for StreamCluster {
         let cb = sim.mem.alloc_f32(&centers);
         let ab = sim.mem.alloc_i32(&vec![0; n]);
         let costb = sim.mem.alloc_f32(&vec![0.0; n]);
-        let kernel = module.function("sc_kernel").expect("streamcluster kernel");
+        let kernel = Kernel::new(sim, module, "sc_kernel");
         let g = ceil_div(n as i64, 128);
-        launch_auto(
+        kernel.launch(
             sim,
-            kernel,
             [g, 1, 1],
             &[
                 KernelArg::Buf(pb),

@@ -108,20 +108,47 @@ pub fn run_app(app: &dyn App, sim: &mut GpuSim, module: &Module) -> Result<Vec<f
     Ok(app.run(sim, module)?)
 }
 
-/// Launches a kernel with a register estimate obtained from the backend
-/// (the respec pipeline's normal path: backend feedback → occupancy).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn launch_auto(
-    sim: &mut GpuSim,
-    func: &Function,
-    grid: [i64; 3],
-    args: &[KernelArg],
-) -> Result<respec_sim::LaunchReport, SimError> {
-    let regs = registers_for(sim, func);
-    sim.launch(func, grid, args, regs)
+/// A kernel of one [`App::run`] with its backend register estimate (the
+/// respec pipeline's normal path: backend feedback → occupancy). The
+/// estimate depends only on the kernel and the target, so an app looks each
+/// kernel up once per run and launches it from here as often as it needs.
+#[derive(Clone, Copy, Debug)]
+pub struct Kernel<'m> {
+    func: &'m Function,
+    regs: u32,
+}
+
+impl<'m> Kernel<'m> {
+    /// Looks up kernel `name` in `module` and estimates its registers on
+    /// `sim`'s target.
+    ///
+    /// # Panics
+    ///
+    /// If `module` has no function `name`: an app names only its own
+    /// kernels.
+    pub fn new(sim: &GpuSim, module: &'m Module, name: &str) -> Kernel<'m> {
+        let func = module
+            .function(name)
+            .unwrap_or_else(|| panic!("module has no kernel `{name}`"));
+        Kernel {
+            func,
+            regs: registers_for(sim, func),
+        }
+    }
+
+    /// Launches the kernel over `grid` with `args`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator failures.
+    pub fn launch(
+        &self,
+        sim: &mut GpuSim,
+        grid: [i64; 3],
+        args: &[KernelArg],
+    ) -> Result<respec_sim::LaunchReport, SimError> {
+        sim.launch(self.func, grid, args, self.regs)
+    }
 }
 
 /// Backend register estimate for a kernel on the simulator's target.

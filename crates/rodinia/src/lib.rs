@@ -32,8 +32,8 @@ pub mod apps;
 mod framework;
 
 pub use framework::{
-    compile_app, launch_auto, max_abs_err, random_f32, random_f64, registers_for, run_app,
-    verify_app, App, AppError, Workload,
+    compile_app, max_abs_err, random_f32, random_f64, registers_for, run_app, verify_app, App,
+    AppError, Kernel, Workload,
 };
 
 pub use apps::{all_apps, all_apps_sized, all_apps_with_gemm};

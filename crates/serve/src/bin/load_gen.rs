@@ -133,14 +133,14 @@ struct Client {
 impl Client {
     fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { reader, stream })
     }
 
     fn request(&mut self, line: &str) -> Result<Json, String> {
         self.stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .map_err(|e| format!("send: {e}"))?;
         let mut response = String::new();
         self.reader

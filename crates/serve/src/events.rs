@@ -29,13 +29,17 @@ impl ConnWriter {
 
     /// Writes one line atomically (appends the newline).
     ///
+    /// The line and its newline go out in one `write_all`, so a response is
+    /// one segment: a trailing one-byte write would wait out the client's
+    /// delayed ACK (≈ 40 ms on Linux) behind Nagle's algorithm.
+    ///
     /// # Errors
     ///
     /// Propagates transport errors — the caller drops the connection.
     pub fn send_line(&self, line: &str) -> io::Result<()> {
+        let buf = format!("{line}\n");
         let mut stream = self.stream.lock().expect("writer lock");
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
+        stream.write_all(buf.as_bytes())?;
         stream.flush()
     }
 

@@ -392,6 +392,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         // events): a peer that stops reading fails its writes within the
         // bound instead of blocking the event hub or a reader forever.
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        // Every write is a whole line; none should wait for an ACK.
+        let _ = stream.set_nodelay(true);
         let Ok(clone) = stream.try_clone() else {
             continue;
         };

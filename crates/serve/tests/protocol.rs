@@ -277,3 +277,31 @@ fn a_dedicated_abused_server_still_shuts_down_cleanly() {
     // worker would hang the test here.
     abused.join();
 }
+
+#[test]
+fn responses_do_not_wait_for_a_delayed_ack() {
+    // A plain client: Nagle left on, each request sent in one write. A
+    // response split over two segments would stall its second one until
+    // this side's delayed ACK fires (≈ 40 ms on Linux).
+    let stream = TcpStream::connect(server().addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut rtts_ms: Vec<f64> = (0..20)
+        .map(|i| {
+            let start = std::time::Instant::now();
+            writer
+                .write_all(format!("{{\"op\":\"ping\",\"id\":\"rtt{i}\"}}\n").as_bytes())
+                .expect("send");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("recv");
+            assert!(line.contains("\"ok\":true"), "ping got: {line:?}");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    rtts_ms.sort_by(f64::total_cmp);
+    let median = rtts_ms[rtts_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median ping round trip {median:.2} ms; all: {rtts_ms:?}"
+    );
+}

@@ -1,10 +1,16 @@
 //! Set-associative LRU cache model with 32-byte sectors.
 
+const PAGE_SETS: u64 = 64; // sets per page of the tag store
+
 /// A set-associative LRU cache. Accesses are at sector granularity (the unit
 /// the coalescer produces), matching the sectored caches of modern GPUs.
+/// Each page of `PAGE_SETS` sets is allocated on first touch, so a cache
+/// costs the same to build and drop at any size. A set is `assoc` slots, MRU
+/// first, each holding `tag + 1` (0 marks an empty slot).
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>,
+    pages: Vec<Option<Box<[u64]>>>,
+    page_shift: u32,
     assoc: usize,
     line: u64,
     set_mask: u64,
@@ -17,12 +23,16 @@ pub struct Cache {
 impl Cache {
     /// Creates a cache of `bytes` capacity with `line`-byte lines and the
     /// given associativity. The set count is rounded down to a power of two.
+    /// Panics unless `line >= 2` (so `tag + 1` cannot overflow) and `assoc > 0`.
     pub fn new(bytes: u64, line: u64, assoc: usize) -> Cache {
+        assert!(line >= 2 && assoc > 0, "cache line {line}, assoc {assoc}");
         let lines = (bytes / line).max(1);
         let sets = (lines / assoc as u64).max(1);
         let sets = 1u64 << (63 - sets.leading_zeros() as u64); // prev power of two
+        let page_sets = sets.min(PAGE_SETS);
         Cache {
-            sets: vec![Vec::with_capacity(assoc); sets as usize],
+            pages: vec![None; (sets / page_sets) as usize],
+            page_shift: page_sets.trailing_zeros(),
             assoc,
             line,
             set_mask: sets - 1,
@@ -35,28 +45,22 @@ impl Cache {
     /// reads and writes — write-allocate).
     pub fn access(&mut self, addr: u64) -> bool {
         let tag = addr / self.line;
-        let set = &mut self.sets[(tag & self.set_mask) as usize];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.push(t);
-            self.hits += 1;
-            true
-        } else {
-            if set.len() == self.assoc {
-                set.remove(0);
-            }
-            set.push(tag);
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Invalidates all contents.
-    pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        let (key, set) = (tag + 1, tag & self.set_mask);
+        let (assoc, page_sets) = (self.assoc, 1usize << self.page_shift);
+        let page = self.pages[(set >> self.page_shift) as usize]
+            .get_or_insert_with(|| vec![0; page_sets * assoc].into_boxed_slice());
+        let base = (set as usize & (page_sets - 1)) * assoc;
+        let ways = &mut page[base..base + assoc];
+        // Filled slots come first: stop at `key`, the first empty slot or
+        // the LRU. A hit moves to MRU; a miss fills or evicts `end`.
+        let end = ways.iter().position(|&k| k == key || k == 0);
+        let end = end.unwrap_or(assoc - 1);
+        let hit = ways[end] == key;
+        ways.copy_within(0..end, 1);
+        ways[0] = key;
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Zeroes the hit/miss counters.
@@ -138,14 +142,6 @@ mod tests {
         c.access(4 * 32); // evicts LRU (line 1, since 0 was just touched)
         assert!(c.access(0));
         assert!(!c.access(32));
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut c = Cache::new(1024, 32, 4);
-        c.access(0);
-        c.flush();
-        assert!(!c.access(0));
     }
 
     #[test]

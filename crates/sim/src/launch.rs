@@ -981,14 +981,6 @@ impl GpuSim {
         }
         Ok(threads as u32)
     }
-
-    /// Flushes the cache hierarchy (e.g. between benchmark repetitions).
-    pub fn flush_caches(&mut self) {
-        for c in &mut self.l1 {
-            c.flush();
-        }
-        self.l2.flush();
-    }
 }
 
 fn lookup(first: &Store, rest: &[&Store], v: Value) -> Result<RtVal, SimError> {

@@ -3,7 +3,7 @@
 //! reflect the hardware asymmetries of Table I (fp64 throughput, small L1).
 
 use respec::{targets, Compiler, GpuSim, KernelArg};
-use respec_rodinia::{all_apps, compile_app, launch_auto};
+use respec_rodinia::{all_apps, compile_app, Kernel};
 
 const FP64_KERNEL: &str = r#"
 __global__ void daxpy_heavy(double* y, double* x, double a, int n) {
@@ -155,5 +155,5 @@ fn launch_geometry_is_target_independent() {
         compiled_amd.kernel("daxpy_heavy").to_string(),
         "retargeting happens at the descriptor level, not in the IR"
     );
-    let _ = launch_auto; // referenced to assert the helper stays public API
+    let _ = Kernel::new; // referenced to assert the helper stays public API
 }
