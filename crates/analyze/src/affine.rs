@@ -9,9 +9,6 @@
 //! one, so they still compare equal to themselves and unequal to anything
 //! else — exactly the precision symbolic comparison needs.
 
-use std::collections::HashMap;
-
-use respec_ir::walk;
 use respec_ir::{BinOp, Function, OpId, OpKind, RegionId, Value};
 
 /// Basis variable of an affine form.
@@ -154,13 +151,27 @@ impl Affine {
     }
 }
 
+/// What a value is to [`AffineCx`].
+#[derive(Clone, Copy)]
+enum Def {
+    /// Defined outside the scope (or a parameter not classified as an iv).
+    Unknown,
+    /// A region argument under the scope: a loop iv or carried value.
+    Arg,
+    /// Result of an op under the scope.
+    Op(OpId),
+    /// Thread induction variable of the given dimension.
+    Thread(usize),
+    /// Block induction variable of the given dimension.
+    Block(usize),
+}
+
 /// Context for building affine forms: a def map over one kernel launch
-/// plus the classification of its induction variables.
+/// plus the classification of its induction variables, as one dense table
+/// indexed by [`Value::index`].
 pub struct AffineCx<'f> {
     func: &'f Function,
-    defs: HashMap<Value, OpId>,
-    thread_ivs: HashMap<Value, usize>,
-    block_ivs: HashMap<Value, usize>,
+    defs: Vec<Def>,
 }
 
 const MAX_DEPTH: u32 = 64;
@@ -174,16 +185,34 @@ impl<'f> AffineCx<'f> {
         thread_ivs: &[Value],
         block_ivs: &[Value],
     ) -> AffineCx<'f> {
-        AffineCx {
-            func,
-            defs: walk::def_map(func, scope),
-            thread_ivs: thread_ivs
-                .iter()
-                .enumerate()
-                .map(|(d, &v)| (v, d))
-                .collect(),
-            block_ivs: block_ivs.iter().enumerate().map(|(d, &v)| (v, d)).collect(),
+        fn go(func: &Function, region: RegionId, defs: &mut [Def]) {
+            for &op in &func.region(region).ops {
+                let operation = func.op(op);
+                for &r in &operation.results {
+                    defs[r.index()] = Def::Op(op);
+                }
+                for &r in &operation.regions {
+                    for &a in &func.region(r).args {
+                        defs[a.index()] = Def::Arg;
+                    }
+                    go(func, r, defs);
+                }
+            }
         }
+        let mut defs = vec![Def::Unknown; func.num_values()];
+        go(func, scope, &mut defs);
+        // A value listed as both keeps the thread classification.
+        for (d, &v) in block_ivs.iter().enumerate() {
+            defs[v.index()] = Def::Block(d);
+        }
+        for (d, &v) in thread_ivs.iter().enumerate() {
+            defs[v.index()] = Def::Thread(d);
+        }
+        AffineCx { func, defs }
+    }
+
+    fn def(&self, v: Value) -> Def {
+        self.defs.get(v.index()).copied().unwrap_or(Def::Unknown)
     }
 
     /// Decomposes `v` into an affine form. `tag` supplies the loop-instance
@@ -194,7 +223,24 @@ impl<'f> AffineCx<'f> {
 
     /// The operation defining `v`, if any is in scope.
     pub fn def_of(&self, v: Value) -> Option<OpId> {
-        self.defs.get(&v).copied()
+        match self.def(v) {
+            Def::Op(op) => Some(op),
+            _ => None,
+        }
+    }
+
+    /// The value of `v` if it is an integer constant; the same answer as
+    /// [`Function::const_int_value`] without scanning the op arena when
+    /// `v` is defined in scope.
+    pub fn const_int(&self, v: Value) -> Option<i64> {
+        match self.def(v) {
+            Def::Op(op) => match self.func.op(op).kind {
+                OpKind::ConstInt { value, .. } => Some(value),
+                _ => None,
+            },
+            Def::Unknown => self.func.const_int_value(v),
+            Def::Arg | Def::Thread(_) | Def::Block(_) => None,
+        }
     }
 
     fn opaque(&self, v: Value, tag: &dyn Fn(Value) -> u32) -> Affine {
@@ -202,18 +248,13 @@ impl<'f> AffineCx<'f> {
     }
 
     fn build_depth(&self, v: Value, tag: &dyn Fn(Value) -> u32, depth: u32) -> Affine {
-        if let Some(&d) = self.thread_ivs.get(&v) {
-            return Affine::var(Basis::Thread(d));
-        }
-        if let Some(&d) = self.block_ivs.get(&v) {
-            return Affine::var(Basis::Block(d));
-        }
-        if depth >= MAX_DEPTH {
-            return self.opaque(v, tag);
-        }
-        let Some(&op) = self.defs.get(&v) else {
+        let op = match self.def(v) {
+            Def::Thread(d) => return Affine::var(Basis::Thread(d)),
+            Def::Block(d) => return Affine::var(Basis::Block(d)),
+            _ if depth >= MAX_DEPTH => return self.opaque(v, tag),
+            Def::Op(op) => op,
             // Region argument or function parameter: an opaque symbol.
-            return self.opaque(v, tag);
+            Def::Arg | Def::Unknown => return self.opaque(v, tag),
         };
         let operation = self.func.op(op);
         match &operation.kind {
@@ -245,7 +286,7 @@ impl<'f> AffineCx<'f> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use respec_ir::parse_function;
+    use respec_ir::{parse_function, walk};
 
     #[test]
     fn builds_linear_combinations() {

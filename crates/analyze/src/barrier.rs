@@ -13,26 +13,32 @@
 //! (data-dependent through memory, unknown call) is a **warning**.
 
 use respec_ir::diag::{barrier_phrase, Diagnostic};
-use respec_ir::{walk, Function, OpId, OpKind, ParLevel, RegionId, Value};
+use respec_ir::{Function, OpId, OpKind, ParLevel, RegionId, Value};
 
-use crate::uniform::{uniformity, Uniformity};
+use crate::uniform::{Lattices, Uniformity};
+
+/// One enclosing control-flow guard: its kind and the values it depends on
+/// (split in two slices so a `while` borrows both its inits and its
+/// condition terminator's operands).
+type Guard<'f> = (&'static str, &'f [Value], &'f [Value]);
 
 /// Checks every barrier in `func` for convergence. Returns one diagnostic
 /// per problematic barrier, at the strongest applicable severity.
 pub fn check_barriers(func: &Function) -> Vec<Diagnostic> {
+    check_barriers_in(func, &Lattices::new(func))
+}
+
+/// [`check_barriers`] over lattices shared with the race checker; a
+/// parallel level's lattice is computed only when one of its barriers sits
+/// under control flow.
+pub(crate) fn check_barriers_in(func: &Function, lattices: &Lattices<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut parallels = Vec::new();
-    walk::walk_ops(func, func.body(), &mut |op| {
-        if matches!(func.op(op).kind, OpKind::Parallel { .. }) {
-            parallels.push(op);
-        }
-    });
-    for par in parallels {
+    for par in lattices.parallels() {
         let OpKind::Parallel { level } = func.op(par).kind else {
             unreachable!()
         };
-        let uni = uniformity(func, par);
-        let mut ctrl: Vec<(&'static str, Vec<Value>, OpId)> = Vec::new();
+        let uni = || lattices.of(par);
+        let mut ctrl: Vec<Guard<'_>> = Vec::new();
         check_region(
             func,
             func.op(par).regions[0],
@@ -46,36 +52,35 @@ pub fn check_barriers(func: &Function) -> Vec<Diagnostic> {
     diags
 }
 
-fn check_region(
-    func: &Function,
+fn check_region<'f, 'l>(
+    func: &'f Function,
     region: RegionId,
     level: ParLevel,
-    uni: &Uniformity,
-    ctrl: &mut Vec<(&'static str, Vec<Value>, OpId)>,
+    uni: &dyn Fn() -> &'l Uniformity,
+    ctrl: &mut Vec<Guard<'f>>,
     shadowed: bool,
     diags: &mut Vec<Diagnostic>,
 ) {
     for &op in &func.region(region).ops {
-        match &func.op(op).kind {
+        let operation = func.op(op);
+        match &operation.kind {
             OpKind::Barrier { level: l } if *l == level && !shadowed => {
                 if let Some(d) = judge_barrier(func, op, level, uni, ctrl) {
                     diags.push(d);
                 }
             }
             OpKind::If => {
-                let cond = func.op(op).operands[0];
-                ctrl.push(("if", vec![cond], op));
-                for &r in &func.op(op).regions {
+                ctrl.push(("if", &operation.operands[..1], &[]));
+                for &r in &operation.regions {
                     check_region(func, r, level, uni, ctrl, shadowed, diags);
                 }
                 ctrl.pop();
             }
             OpKind::For => {
-                let bounds = func.op(op).operands[..3].to_vec();
-                ctrl.push(("for", bounds, op));
+                ctrl.push(("for", &operation.operands[..3], &[]));
                 check_region(
                     func,
-                    op_region(func, op, 0),
+                    operation.regions[0],
                     level,
                     uni,
                     ctrl,
@@ -87,13 +92,13 @@ fn check_region(
             OpKind::While => {
                 // The continuation condition lives in the cond region's
                 // terminator; inits feed both regions.
-                let cond_region = op_region(func, op, 0);
-                let mut vals = func.op(op).operands.clone();
-                if let Some(&t) = func.region(cond_region).ops.last() {
-                    vals.extend(func.op(t).operands.iter().copied());
-                }
-                ctrl.push(("while", vals, op));
-                for &r in &func.op(op).regions {
+                let cond = func
+                    .region(operation.regions[0])
+                    .ops
+                    .last()
+                    .map_or(&[][..], |&t| func.op(t).operands.as_slice());
+                ctrl.push(("while", &operation.operands, cond));
+                for &r in &operation.regions {
                     check_region(func, r, level, uni, ctrl, shadowed, diags);
                 }
                 ctrl.pop();
@@ -102,7 +107,7 @@ fn check_region(
                 let nested_same = *l == level;
                 check_region(
                     func,
-                    op_region(func, op, 0),
+                    operation.regions[0],
                     level,
                     uni,
                     ctrl,
@@ -115,20 +120,21 @@ fn check_region(
     }
 }
 
-fn op_region(func: &Function, op: OpId, i: usize) -> RegionId {
-    func.op(op).regions[i]
-}
-
-fn judge_barrier(
+fn judge_barrier<'l>(
     func: &Function,
     barrier: OpId,
     level: ParLevel,
-    uni: &Uniformity,
-    ctrl: &[(&'static str, Vec<Value>, OpId)],
+    uni: &dyn Fn() -> &'l Uniformity,
+    ctrl: &[Guard<'_>],
 ) -> Option<Diagnostic> {
+    if ctrl.is_empty() {
+        return None;
+    }
+    let uni = uni();
     let mut warning: Option<Diagnostic> = None;
-    for (kind, vals, _ctrl_op) in ctrl {
-        if vals.iter().any(|&v| uni.depends_on_ivs(v)) {
+    for &(kind, vals, more) in ctrl {
+        let mut vals = vals.iter().chain(more);
+        if vals.clone().any(|&v| uni.depends_on_ivs(v)) {
             return Some(
                 Diagnostic::error(
                     "divergent-barrier",
@@ -146,7 +152,7 @@ fn judge_barrier(
                 ),
             );
         }
-        if warning.is_none() && vals.iter().any(|&v| !uni.is_uniform(v)) {
+        if warning.is_none() && vals.any(|&v| !uni.is_uniform(v)) {
             warning = Some(
                 Diagnostic::warning(
                     "possibly-divergent-barrier",

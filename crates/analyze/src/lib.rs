@@ -40,6 +40,8 @@ pub use barrier::check_barriers;
 pub use race::check_races;
 pub use uniform::{uniformity, Uniformity};
 
+use uniform::Lattices;
+
 /// The findings of one analysis run, sorted errors-first.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisReport {
@@ -76,11 +78,16 @@ impl AnalysisReport {
 /// Functions without the kernel launch shape (host logic, malformed
 /// structures) get barrier checking only; launch-shape problems surface
 /// through [`respec_ir::kernel::analyze_function`] at its call sites.
+///
+/// Each parallel level's uniformity lattice is computed at most once and
+/// shared by both checkers.
 pub fn analyze_function(func: &Function) -> AnalysisReport {
-    let mut diagnostics = check_barriers(func);
+    let lattices = Lattices::new(func);
+    let mut diagnostics = barrier::check_barriers_in(func, &lattices);
     if let Ok(launches) = respec_ir::kernel::analyze_function(func) {
-        for launch in &launches {
-            diagnostics.extend(check_races(func, launch));
+        for launch in launches.iter().filter(|l| !l.shared_allocs.is_empty()) {
+            let uni = lattices.of(launch.thread_par);
+            diagnostics.extend(race::check_races_with(func, launch, uni));
         }
     }
     diagnostics.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));

@@ -20,14 +20,17 @@
 //! Severity: when both indices are concrete (thread ivs and constants
 //! after symbolic terms cancel) the checker *decides* the race by
 //! enumerating thread pairs — a hit is an **error** with example thread
-//! ids, a miss is silence. Undecidable cases (symbolic coefficients,
-//! unmodelled guards) are **warnings**.
+//! ids, a miss is silence. An exact test first proves most pairs
+//! disjoint without enumerating (index ranges, gcds, mixed-radix
+//! injectivity); it never answers for a pair that collides, so the
+//! example ids are the enumeration's. Undecidable cases (symbolic
+//! coefficients, unmodelled guards) are **warnings**.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use respec_ir::diag::Diagnostic;
 use respec_ir::kernel::Launch;
-use respec_ir::{BinOp, CmpPred, Function, OpId, OpKind, RegionId, Value};
+use respec_ir::{BinOp, CmpPred, Function, OpId, OpKind, Operation, RegionId, Value};
 
 use crate::affine::{Affine, AffineCx, Basis};
 use crate::uniform::{uniformity, Uniformity};
@@ -66,30 +69,116 @@ struct SeqOut {
 /// beyond it the checker degrades to a warning instead of burning time.
 const ENUM_CAP: i64 = 1 << 22;
 
-struct RaceChecker<'f> {
+/// "No loop" in [`LoopTags`]' dense tables.
+const NONE: u32 = u32::MAX;
+
+/// Loop-instance tags for opaque symbols (see [`Basis::Sym`]), over dense
+/// per-value and per-op tables.
+struct LoopTags {
+    /// Innermost sequential loop (`for`/`while`) enclosing each value's
+    /// definition, as an index into `frames`, by [`Value::index`]. Loop
+    /// region arguments (ivs, carried values) count as defined by the loop
+    /// itself.
+    owner: Vec<u32>,
+    /// Per loop: the loop op and the frame of the loop enclosing it.
+    frames: Vec<(OpId, u32)>,
+    /// Instance number of each loop currently being unrolled, by
+    /// [`OpId::index`]; [`NONE`] when the loop is not on the stack.
+    instance: Vec<u32>,
+}
+
+impl LoopTags {
+    fn new(func: &Function, scope: RegionId) -> LoopTags {
+        fn go(func: &Function, region: RegionId, frame: u32, tags: &mut LoopTags) {
+            for &op in &func.region(region).ops {
+                let operation = func.op(op);
+                for &r in &operation.results {
+                    tags.owner[r.index()] = frame;
+                }
+                let inner = if matches!(operation.kind, OpKind::For | OpKind::While) {
+                    tags.frames.push((op, frame));
+                    (tags.frames.len() - 1) as u32
+                } else {
+                    frame
+                };
+                for &r in &operation.regions {
+                    for &a in &func.region(r).args {
+                        tags.owner[a.index()] = inner;
+                    }
+                    go(func, r, inner, tags);
+                }
+            }
+        }
+        let mut tags = LoopTags {
+            owner: vec![NONE; func.num_values()],
+            frames: Vec::new(),
+            instance: vec![NONE; func.num_ops()],
+        };
+        go(func, scope, NONE, &mut tags);
+        tags
+    }
+
+    /// Distinguishes the same value seen in different iterations of the
+    /// loops currently being unrolled: one bit per enclosing loop on the
+    /// stack, the innermost lowest.
+    fn tag_of(&self, v: Value) -> u32 {
+        let mut tag = 0u32;
+        let mut shift = 0u32;
+        let mut frame = self.owner.get(v.index()).copied().unwrap_or(NONE);
+        while frame != NONE {
+            let (op, parent) = self.frames[frame as usize];
+            let inst = self.instance[op.index()];
+            if inst != NONE {
+                if shift < 32 {
+                    tag = tag.wrapping_add(inst << shift);
+                }
+                shift += 1;
+            }
+            frame = parent;
+        }
+        tag
+    }
+
+    fn enter(&mut self, op: OpId, inst: u32) {
+        self.instance[op.index()] = inst;
+    }
+
+    fn leave(&mut self, op: OpId) {
+        self.instance[op.index()] = NONE;
+    }
+}
+
+struct RaceChecker<'f, 'u> {
     func: &'f Function,
     cx: AffineCx<'f>,
-    uni: Uniformity,
-    block_dims: Vec<i64>,
-    shared: HashSet<Value>,
+    uni: &'u Uniformity,
+    shared: Vec<Value>,
     accesses: Vec<Access>,
-    /// Stack of (sequential loop op, instance number) for symbol renaming.
-    loop_instances: Vec<(OpId, u32)>,
-    /// Enclosing sequential loops of each value's defining op.
-    owner_loops: HashMap<Value, Vec<OpId>>,
+    loops: LoopTags,
     active_pins: Vec<Pin>,
     unknown_guard_depth: u32,
+    decider: Decider<'u>,
     diags: Vec<Diagnostic>,
     reported: HashSet<(&'static str, OpId, OpId)>,
 }
 
 /// Checks one launch of `func` for shared-memory races.
 pub fn check_races(func: &Function, launch: &Launch) -> Vec<Diagnostic> {
+    if launch.shared_allocs.is_empty() {
+        return Vec::new();
+    }
+    check_races_with(func, launch, &uniformity(func, launch.thread_par))
+}
+
+/// [`check_races`] with the thread level's lattice already computed.
+pub(crate) fn check_races_with(
+    func: &Function,
+    launch: &Launch,
+    uni: &Uniformity,
+) -> Vec<Diagnostic> {
     let thread_body = func.op(launch.thread_par).regions[0];
-    let thread_ivs = func.region(thread_body).args.clone();
     let block_body = func.op(launch.block_par).regions[0];
-    let block_ivs = func.region(block_body).args.clone();
-    let shared: HashSet<Value> = launch
+    let shared: Vec<Value> = launch
         .shared_allocs
         .iter()
         .map(|&a| func.op(a).results[0])
@@ -99,15 +188,19 @@ pub fn check_races(func: &Function, launch: &Launch) -> Vec<Diagnostic> {
     }
     let mut checker = RaceChecker {
         func,
-        cx: AffineCx::new(func, func.body(), &thread_ivs, &block_ivs),
-        uni: uniformity(func, launch.thread_par),
-        block_dims: launch.block_dims.clone(),
+        cx: AffineCx::new(
+            func,
+            func.body(),
+            &func.region(thread_body).args,
+            &func.region(block_body).args,
+        ),
+        uni,
         shared,
         accesses: Vec::new(),
-        loop_instances: Vec::new(),
-        owner_loops: owner_loops(func, thread_body),
+        loops: LoopTags::new(func, thread_body),
         active_pins: Vec::new(),
         unknown_guard_depth: 0,
+        decider: Decider::new(&launch.block_dims, uni),
         diags: Vec::new(),
         reported: HashSet::new(),
     };
@@ -115,67 +208,22 @@ pub fn check_races(func: &Function, launch: &Launch) -> Vec<Diagnostic> {
     checker.diags
 }
 
-/// For every value defined under `scope`, the chain of sequential loops
-/// (`for`/`while`) enclosing its definition, innermost last. Loop region
-/// arguments (ivs, carried values) count as defined by the loop itself.
-fn owner_loops(func: &Function, scope: RegionId) -> HashMap<Value, Vec<OpId>> {
-    let mut map = HashMap::new();
-    let mut stack: Vec<OpId> = Vec::new();
-    fn go(
-        func: &Function,
-        region: RegionId,
-        stack: &mut Vec<OpId>,
-        map: &mut HashMap<Value, Vec<OpId>>,
-    ) {
-        for &op in &func.region(region).ops {
-            let is_loop = matches!(func.op(op).kind, OpKind::For | OpKind::While);
-            for &r in &func.op(op).results {
-                map.insert(r, stack.clone());
-            }
-            if is_loop {
-                stack.push(op);
-            }
-            for &r in &func.op(op).regions {
-                for &a in &func.region(r).args {
-                    map.insert(a, stack.clone());
-                }
-                go(func, r, stack, map);
-            }
-            if is_loop {
-                stack.pop();
-            }
-        }
-    }
-    go(func, scope, &mut stack, &mut map);
-    map
-}
-
-impl<'f> RaceChecker<'f> {
-    /// Loop-instance tag for a symbol: distinguishes the same value seen
-    /// in different iterations of the loops currently being unrolled.
-    fn tag_of(&self, v: Value) -> u32 {
-        let mut tag = 0u32;
-        if let Some(chain) = self.owner_loops.get(&v) {
-            for l in chain {
-                if let Some(&(_, inst)) = self.loop_instances.iter().find(|(op, _)| op == l) {
-                    tag = tag.wrapping_mul(2).wrapping_add(inst);
-                }
-            }
-        }
-        tag
-    }
-
+impl<'f, 'u> RaceChecker<'f, 'u> {
     fn affine(&self, v: Value) -> Affine {
-        self.cx.build(v, &|x| self.tag_of(x))
+        self.cx.build(v, &|x| self.loops.tag_of(x))
+    }
+
+    fn is_shared(&self, v: Value) -> bool {
+        self.shared.contains(&v)
     }
 
     fn process_region(&mut self, region: RegionId, mut open: Vec<usize>) -> SeqOut {
-        let ops = self.func.region(region).ops.clone();
+        let func = self.func;
         let mut has_barrier = false;
-        for op in ops {
-            let operation = self.func.op(op).clone();
+        for &op in &func.region(region).ops {
+            let operation = func.op(op);
             match &operation.kind {
-                OpKind::Load if self.shared.contains(&operation.operands[0]) => {
+                OpKind::Load if self.is_shared(operation.operands[0]) => {
                     self.record(
                         op,
                         false,
@@ -184,7 +232,7 @@ impl<'f> RaceChecker<'f> {
                         &mut open,
                     );
                 }
-                OpKind::Store if self.shared.contains(&operation.operands[1]) => {
+                OpKind::Store if self.is_shared(operation.operands[1]) => {
                     self.record(
                         op,
                         true,
@@ -200,12 +248,12 @@ impl<'f> RaceChecker<'f> {
                     has_barrier = true;
                 }
                 OpKind::If => {
-                    let (open2, sync) = self.process_if(&operation, open);
+                    let (open2, sync) = self.process_if(operation, open);
                     open = open2;
                     has_barrier |= sync;
                 }
                 OpKind::For => {
-                    let (open2, sync) = self.process_for(op, &operation, open);
+                    let (open2, sync) = self.process_for(op, operation, open);
                     open = open2;
                     has_barrier |= sync;
                 }
@@ -216,11 +264,11 @@ impl<'f> RaceChecker<'f> {
                         self.unknown_guard_depth += 1;
                     }
                     let rc = self.process_region(operation.regions[0], open);
-                    self.loop_instances.push((op, 0));
+                    self.loops.enter(op, 0);
                     let r1 = self.process_region(operation.regions[1], rc.open);
-                    self.loop_instances.last_mut().unwrap().1 = 1;
+                    self.loops.enter(op, 1);
                     let r2 = self.process_region(operation.regions[1], r1.open);
-                    self.loop_instances.pop();
+                    self.loops.leave(op);
                     if nonuniform {
                         self.unknown_guard_depth -= 1;
                     }
@@ -240,11 +288,7 @@ impl<'f> RaceChecker<'f> {
         SeqOut { open, has_barrier }
     }
 
-    fn process_if(
-        &mut self,
-        operation: &respec_ir::Operation,
-        open: Vec<usize>,
-    ) -> (Vec<usize>, bool) {
+    fn process_if(&mut self, operation: &Operation, open: Vec<usize>) -> (Vec<usize>, bool) {
         let cond = operation.operands[0];
         let then_region = operation.regions[0];
         let else_region = operation.regions.get(1).copied();
@@ -294,7 +338,7 @@ impl<'f> RaceChecker<'f> {
     fn process_for(
         &mut self,
         op: OpId,
-        operation: &respec_ir::Operation,
+        operation: &Operation,
         open: Vec<usize>,
     ) -> (Vec<usize>, bool) {
         let entry = open.clone();
@@ -303,16 +347,16 @@ impl<'f> RaceChecker<'f> {
         if !uniform {
             self.unknown_guard_depth += 1;
         }
-        self.loop_instances.push((op, 0));
+        self.loops.enter(op, 0);
         let r1 = self.process_region(operation.regions[0], open);
-        self.loop_instances.last_mut().unwrap().1 = 1;
+        self.loops.enter(op, 1);
         let r2 = self.process_region(operation.regions[0], r1.open);
-        self.loop_instances.pop();
+        self.loops.leave(op);
         if !uniform {
             self.unknown_guard_depth -= 1;
         }
         let certainly_runs = {
-            let c = |v: Value| self.func.const_int_value(v);
+            let c = |v: Value| self.cx.const_int(v);
             match (c(bounds[0]), c(bounds[1]), c(bounds[2])) {
                 (Some(lb), Some(ub), Some(step)) => step > 0 && lb < ub,
                 _ => false,
@@ -390,29 +434,29 @@ impl<'f> RaceChecker<'f> {
         open: &mut Vec<usize>,
     ) {
         let index: Vec<Affine> = idxs.iter().map(|&v| self.affine(v)).collect();
-        let acc = Access {
+        let id = self.accesses.len();
+        self.accesses.push(Access {
             op,
             is_store,
             buffer,
             index,
             pins: self.active_pins.clone(),
             unknown_guard: self.unknown_guard_depth > 0,
-        };
+        });
         if is_store {
-            self.check_pair(&acc, &acc);
+            self.check_pair(id, id);
         }
         for &o in open.iter() {
-            let other = self.accesses[o].clone();
+            let other = &self.accesses[o];
             if other.buffer == buffer && (is_store || other.is_store) {
-                self.check_pair(&acc, &other);
+                self.check_pair(id, o);
             }
         }
-        let id = self.accesses.len();
-        self.accesses.push(acc);
         open.push(id);
     }
 
-    fn check_pair(&mut self, a: &Access, b: &Access) {
+    fn check_pair(&mut self, a: usize, b: usize) {
+        let (a, b) = (&self.accesses[a], &self.accesses[b]);
         let code: &'static str = if a.is_store && b.is_store {
             "race-ww"
         } else {
@@ -426,20 +470,18 @@ impl<'f> RaceChecker<'f> {
         if self.reported.contains(&key) {
             return;
         }
-        match self.decide(a, b) {
-            Verdict::Safe => {}
-            Verdict::Definite(t, t2) => {
-                self.reported.insert(key);
-                self.diags.push(self.race_diag(code, a, b, Some((t, t2))));
-            }
+        let d = match self.decider.decide(a, b) {
+            Verdict::Safe => return,
+            Verdict::Definite(t, t2) => self.race_diag(code, a, b, Some((t, t2))),
             Verdict::Possible(why) => {
-                self.reported.insert(key);
                 let mut d = self.race_diag(code, a, b, None);
                 d.severity = respec_ir::Severity::Warning;
                 d.message = format!("possible {} ({why})", d.message);
-                self.diags.push(d);
+                d
             }
-        }
+        };
+        self.reported.insert(key);
+        self.diags.push(d);
     }
 
     fn race_diag(
@@ -478,10 +520,47 @@ impl<'f> RaceChecker<'f> {
              indexing injective",
         )
     }
+}
 
-    fn decide(&self, a: &Access, b: &Access) -> Verdict {
+/// Index values the exact pre-test reasons about stay below this
+/// magnitude, so no evaluation in the enumeration wraps an `i64` and
+/// integer reasoning agrees with it.
+const EXACT_LIMIT: i128 = 1 << 62;
+
+/// Thread dims the mixed-radix injectivity test handles.
+const RADIX_DIMS: usize = 8;
+
+/// Decides access pairs over one launch's thread box, with scratch
+/// buffers reused across pairs.
+struct Decider<'u> {
+    block_dims: Vec<i64>,
+    uni: &'u Uniformity,
+    fixed_a: Vec<Option<i64>>,
+    fixed_b: Vec<Option<i64>>,
+    tied: Vec<bool>,
+    t: Vec<i64>,
+    t2: Vec<i64>,
+    delta: Vec<i64>,
+}
+
+impl<'u> Decider<'u> {
+    fn new(block_dims: &[i64], uni: &'u Uniformity) -> Decider<'u> {
+        let n = block_dims.len();
+        Decider {
+            block_dims: block_dims.to_vec(),
+            uni,
+            fixed_a: vec![None; n],
+            fixed_b: vec![None; n],
+            tied: vec![false; n],
+            t: vec![0; n],
+            t2: vec![0; n],
+            delta: vec![0; n],
+        }
+    }
+
+    fn decide(&mut self, a: &Access, b: &Access) -> Verdict {
         if a.index.len() != b.index.len() {
-            return Verdict::Possible("buffer accessed at different ranks".into());
+            return Verdict::Possible("buffer accessed at different ranks");
         }
         if a.unknown_guard || b.unknown_guard {
             // An unmodelled guard restricts which threads execute the
@@ -490,34 +569,29 @@ impl<'f> RaceChecker<'f> {
             if let Verdict::Safe = self.decide_concrete(a, b) {
                 return Verdict::Safe;
             }
-            return Verdict::Possible(
-                "access guarded by a condition the analysis cannot model".into(),
-            );
+            return Verdict::Possible("access guarded by a condition the analysis cannot model");
         }
         self.decide_concrete(a, b)
     }
 
     /// Decides the pair when everything is concrete.
-    fn decide_concrete(&self, a: &Access, b: &Access) -> Verdict {
+    fn decide_concrete(&mut self, a: &Access, b: &Access) -> Verdict {
         let ndims = self.block_dims.len();
         // Per index dimension, symbolic terms must cancel exactly;
         // otherwise the equation is undecidable.
         for (ia, ib) in a.index.iter().zip(&b.index) {
-            let sa: Vec<(Basis, i64)> = ia.sym_terms().collect();
-            let sb: Vec<(Basis, i64)> = ib.sym_terms().collect();
-            if sa != sb {
-                return Verdict::Possible("symbolic index terms do not cancel".into());
+            if !ia.sym_terms().eq(ib.sym_terms()) {
+                return Verdict::Possible("symbolic index terms do not cancel");
             }
             // Matching terms only cancel when the symbol is uniform across
             // threads: a thread-varying symbol (say `tx / 16`) takes
             // *different* values in the two threads of the pair, so nothing
             // about the difference of the indices is known.
-            for &(basis, _) in &sa {
+            for (basis, _) in ia.sym_terms() {
                 if let Basis::Sym(v, _) = basis {
                     if !self.uni.is_uniform(v) {
                         return Verdict::Possible(
-                            "index depends on a thread-varying value the analysis cannot model"
-                                .into(),
+                            "index depends on a thread-varying value the analysis cannot model",
                         );
                     }
                 }
@@ -525,10 +599,10 @@ impl<'f> RaceChecker<'f> {
         }
         // Pins: concrete pins fix a thread coordinate; symbolic pins only
         // help when both sides pin the same dim to the same expression.
-        let mut fixed_a: Vec<Option<i64>> = vec![None; ndims];
-        let mut fixed_b: Vec<Option<i64>> = vec![None; ndims];
-        let mut tied: Vec<bool> = vec![false; ndims];
-        for (pins, fixed) in [(&a.pins, &mut fixed_a), (&b.pins, &mut fixed_b)] {
+        self.fixed_a.fill(None);
+        self.fixed_b.fill(None);
+        self.tied.fill(false);
+        for (pins, fixed) in [(&a.pins, &mut self.fixed_a), (&b.pins, &mut self.fixed_b)] {
             for p in pins.iter() {
                 if let Some(c) = p.expr.as_const() {
                     if !(0..self.block_dims[p.dim]).contains(&c) {
@@ -539,7 +613,7 @@ impl<'f> RaceChecker<'f> {
                 }
             }
         }
-        for (d, tie) in tied.iter_mut().enumerate() {
+        for (d, tie) in self.tied.iter_mut().enumerate() {
             let sym_a = a
                 .pins
                 .iter()
@@ -551,34 +625,34 @@ impl<'f> RaceChecker<'f> {
             match (sym_a, sym_b) {
                 (None, None) => {}
                 (Some(pa), Some(pb)) if pa.expr == pb.expr => *tie = true,
-                _ => {
-                    return Verdict::Possible("thread coordinate pinned to a symbolic value".into())
-                }
+                _ => return Verdict::Possible("thread coordinate pinned to a symbolic value"),
             }
         }
+        // Before either enumeration, an exact pre-test: most pairs provably
+        // never share a cell, and proving that is much cheaper than
+        // enumerating. A pair that may collide is enumerated as before, so
+        // a reported witness is still the first one the enumeration meets.
+        let unconstrained = self.fixed_a.iter().all(Option::is_none)
+            && self.fixed_b.iter().all(Option::is_none)
+            && self.tied.iter().all(|&t| !t);
         // Fast path: identical thread coefficients and no pins — the
         // per-dimension equations depend only on Δ = t' − t, so enumerate
         // the (much smaller) difference box instead of thread pairs.
-        let unconstrained = fixed_a.iter().all(Option::is_none)
-            && fixed_b.iter().all(Option::is_none)
-            && tied.iter().all(|&t| !t);
-        let coeffs_equal = a
-            .index
-            .iter()
-            .zip(&b.index)
-            .all(|(ia, ib)| ia.thread_coeffs(ndims) == ib.thread_coeffs(ndims));
-        if unconstrained && coeffs_equal {
+        if unconstrained && coeffs_equal(a, b, ndims) {
+            if self.provably_disjoint(a, b, unconstrained) {
+                return Verdict::Safe;
+            }
             return self.search_delta(a, b);
         }
         // Enumerate thread pairs (t, t') with t ≠ t'.
         let mut space: i64 = 1;
         for d in 0..ndims {
-            let ra = if fixed_a[d].is_some() {
+            let ra = if self.fixed_a[d].is_some() {
                 1
             } else {
                 self.block_dims[d]
             };
-            let rb = if fixed_b[d].is_some() || tied[d] {
+            let rb = if self.fixed_b[d].is_some() || self.tied[d] {
                 1
             } else {
                 self.block_dims[d]
@@ -586,28 +660,124 @@ impl<'f> RaceChecker<'f> {
             space = space.saturating_mul(ra).saturating_mul(rb);
         }
         if space > ENUM_CAP {
-            return Verdict::Possible("thread space too large to decide".into());
+            return Verdict::Possible("thread space too large to decide");
         }
-        let mut t = vec![0i64; ndims];
-        let mut t2 = vec![0i64; ndims];
-        if self.search(a, b, &fixed_a, &fixed_b, &tied, 0, &mut t, &mut t2) {
-            Verdict::Definite(t, t2)
+        if self.provably_disjoint(a, b, unconstrained) {
+            return Verdict::Safe;
+        }
+        self.t.fill(0);
+        self.t2.fill(0);
+        if self.search(a, b, 0) {
+            Verdict::Definite(self.t.clone(), self.t2.clone())
         } else {
             Verdict::Safe
         }
     }
 
+    /// `true` when no two threads — equal or not — of the pair's thread
+    /// boxes (pins and ties applied) touch the same cell.
+    ///
+    /// Per index dimension, `a(t) − b(t')` is a linear form over the free
+    /// thread coordinates; it has no root when zero lies outside its range
+    /// or the gcd of its coefficients does not divide its constant. When
+    /// both sides index by the same forms, the only root may be `t = t'`
+    /// (one thread, one cell), which [`Decider::only_equal_threads`]
+    /// proves.
+    fn provably_disjoint(&self, a: &Access, b: &Access, unconstrained: bool) -> bool {
+        let dims = &self.block_dims;
+        if !(in_exact_range(&a.index, dims) && in_exact_range(&b.index, dims)) {
+            return false;
+        }
+        let mut same_forms = unconstrained;
+        for (ia, ib) in a.index.iter().zip(&b.index) {
+            let mut konst = i128::from(ia.constant) - i128::from(ib.constant);
+            let (mut g, mut lo, mut hi) = (0i128, 0i128, 0i128);
+            for (d, &n) in dims.iter().enumerate() {
+                let ca = i128::from(thread_coeff(ia, d));
+                let cb = i128::from(thread_coeff(ib, d));
+                same_forms &= ca == cb;
+                let mut term = |c: i128, fixed: Option<i64>| match fixed {
+                    Some(x) => konst += c * i128::from(x),
+                    None if n > 1 && c != 0 => {
+                        g = gcd(g, c.abs());
+                        let reach = c * i128::from(n - 1);
+                        lo += reach.min(0);
+                        hi += reach.max(0);
+                    }
+                    None => {}
+                };
+                if self.tied[d] {
+                    term(ca - cb, self.fixed_a[d]);
+                } else {
+                    term(ca, self.fixed_a[d]);
+                    term(-cb, self.fixed_b[d]);
+                }
+            }
+            if konst + lo > 0 || konst + hi < 0 {
+                return true;
+            }
+            if (g == 0 && konst != 0) || (g != 0 && konst % g != 0) {
+                return true;
+            }
+            same_forms &= konst == 0;
+        }
+        same_forms && self.only_equal_threads(a)
+    }
+
+    /// With both sides indexing by the same forms, threads `t ≠ t'`
+    /// collide only if some nonzero Δ of the difference box solves
+    /// `c·Δ = 0` in every index dimension. An index dimension whose thread
+    /// coefficients, ordered by magnitude, each exceed the most the smaller
+    /// ones can reach together (mixed radix, like `ty*16 + tx` over 16×16)
+    /// forces Δ = 0 on its thread dims; if that covers every thread dim of
+    /// extent above one, Δ = 0 is the only root.
+    fn only_equal_threads(&self, a: &Access) -> bool {
+        let dims = &self.block_dims;
+        if dims.len() > RADIX_DIMS {
+            return false;
+        }
+        let mut covered: u32 = 0;
+        for (d, &n) in dims.iter().enumerate() {
+            if n <= 1 {
+                covered |= 1 << d;
+            }
+        }
+        for ia in &a.index {
+            let mut terms = [(0i128, 0usize); RADIX_DIMS];
+            let mut len = 0;
+            for (d, &n) in dims.iter().enumerate() {
+                let c = i128::from(thread_coeff(ia, d)).abs();
+                if c != 0 && n > 1 {
+                    terms[len] = (c, d);
+                    len += 1;
+                }
+            }
+            let terms = &mut terms[..len];
+            terms.sort_unstable();
+            let mut reach = 0i128;
+            let mut radix = true;
+            for &(c, d) in terms.iter() {
+                radix &= c > reach;
+                reach += c * i128::from(dims[d] - 1);
+            }
+            if radix {
+                for &(_, d) in terms.iter() {
+                    covered |= 1 << d;
+                }
+            }
+        }
+        covered == (1u32 << dims.len()) - 1
+    }
+
     /// Enumerates Δ = t' − t over the difference box, valid when both
     /// accesses have identical thread coefficients (the equations are
     /// then translation-invariant in t).
-    fn search_delta(&self, a: &Access, b: &Access) -> Verdict {
-        let ndims = self.block_dims.len();
-        let mut delta = vec![0i64; ndims];
+    fn search_delta(&mut self, a: &Access, b: &Access) -> Verdict {
         fn go(
             dims: &[i64],
             d: usize,
-            delta: &mut Vec<i64>,
-            check: &dyn Fn(&[i64]) -> bool,
+            delta: &mut [i64],
+            check: &mut dyn FnMut(&[i64]) -> bool,
         ) -> bool {
             if d == dims.len() {
                 return delta.iter().any(|&x| x != 0) && check(delta);
@@ -620,18 +790,19 @@ impl<'f> RaceChecker<'f> {
             }
             false
         }
-        let check = |delta: &[i64]| -> bool {
-            let t: Vec<i64> = delta.iter().map(|&x| (-x).max(0)).collect();
-            let t2: Vec<i64> = t.iter().zip(delta).map(|(&a, &d)| a + d).collect();
+        let (t, t2) = (&mut self.t, &mut self.t2);
+        let mut check = |delta: &[i64]| -> bool {
+            for ((x, y), &d) in t.iter_mut().zip(t2.iter_mut()).zip(delta) {
+                *x = (-d).max(0);
+                *y = *x + d;
+            }
             a.index
                 .iter()
                 .zip(&b.index)
-                .all(|(ia, ib)| ia.eval_threads(&t) == ib.eval_threads(&t2))
+                .all(|(ia, ib)| ia.eval_threads(t) == ib.eval_threads(t2))
         };
-        if go(&self.block_dims, 0, &mut delta, &check) {
-            let t: Vec<i64> = delta.iter().map(|&x| (-x).max(0)).collect();
-            let t2: Vec<i64> = t.iter().zip(&delta).map(|(&a, &d)| a + d).collect();
-            Verdict::Definite(t, t2)
+        if go(&self.block_dims, 0, &mut self.delta, &mut check) {
+            Verdict::Definite(self.t.clone(), self.t2.clone())
         } else {
             Verdict::Safe
         }
@@ -639,45 +810,35 @@ impl<'f> RaceChecker<'f> {
 
     /// Depth-first enumeration over thread coordinates; dimension `d` of
     /// both `t` and `t2` is chosen per level.
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &self,
-        a: &Access,
-        b: &Access,
-        fixed_a: &[Option<i64>],
-        fixed_b: &[Option<i64>],
-        tied: &[bool],
-        d: usize,
-        t: &mut Vec<i64>,
-        t2: &mut Vec<i64>,
-    ) -> bool {
+    fn search(&mut self, a: &Access, b: &Access, d: usize) -> bool {
         if d == self.block_dims.len() {
-            if t == t2 {
+            if self.t == self.t2 {
                 return false;
             }
             return a
                 .index
                 .iter()
                 .zip(&b.index)
-                .all(|(ia, ib)| ia.eval_threads(t) == ib.eval_threads(t2));
+                .all(|(ia, ib)| ia.eval_threads(&self.t) == ib.eval_threads(&self.t2));
         }
-        let range_a: Vec<i64> = match fixed_a[d] {
-            Some(c) => vec![c],
-            None => (0..self.block_dims[d]).collect(),
+        let n = self.block_dims[d];
+        let range_a = match self.fixed_a[d] {
+            Some(c) => c..c + 1,
+            None => 0..n,
         };
-        for &va in &range_a {
-            t[d] = va;
-            let range_b: Vec<i64> = if tied[d] {
-                vec![va]
+        for va in range_a {
+            self.t[d] = va;
+            let range_b = if self.tied[d] {
+                va..va + 1
             } else {
-                match fixed_b[d] {
-                    Some(c) => vec![c],
-                    None => (0..self.block_dims[d]).collect(),
+                match self.fixed_b[d] {
+                    Some(c) => c..c + 1,
+                    None => 0..n,
                 }
             };
-            for &vb in &range_b {
-                t2[d] = vb;
-                if self.search(a, b, fixed_a, fixed_b, tied, d + 1, t, t2) {
+            for vb in range_b {
+                self.t2[d] = vb;
+                if self.search(a, b, d + 1) {
                     return true;
                 }
             }
@@ -689,7 +850,41 @@ impl<'f> RaceChecker<'f> {
 enum Verdict {
     Safe,
     Definite(Vec<i64>, Vec<i64>),
-    Possible(String),
+    Possible(&'static str),
+}
+
+/// Coefficient of thread dim `d` in `form`.
+fn thread_coeff(form: &Affine, d: usize) -> i64 {
+    form.coeff(Basis::Thread(d))
+}
+
+fn coeffs_equal(a: &Access, b: &Access, ndims: usize) -> bool {
+    a.index
+        .iter()
+        .zip(&b.index)
+        .all(|(ia, ib)| (0..ndims).all(|d| thread_coeff(ia, d) == thread_coeff(ib, d)))
+}
+
+/// `true` when every form stays within [`EXACT_LIMIT`] over the thread box
+/// (symbolic terms excluded, as in [`Affine::eval_threads`]).
+fn in_exact_range(index: &[Affine], dims: &[i64]) -> bool {
+    index.iter().all(|form| {
+        let mut reach = i128::from(form.constant).abs();
+        for &(basis, c) in &form.terms {
+            if let Some(d) = basis.thread_dim() {
+                let extent = dims.get(d).map_or(0, |&n| i128::from(n.max(1) - 1));
+                reach = reach.saturating_add(i128::from(c).abs() * extent);
+            }
+        }
+        reach < EXACT_LIMIT
+    })
+}
+
+fn gcd(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 fn union(mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {

@@ -17,53 +17,70 @@
 //! every iteration reads the same cell of memory no other iteration
 //! diverged on.
 
-use std::collections::HashSet;
-
 use respec_ir::walk;
 use respec_ir::{Function, OpId, OpKind, RegionId, Value};
 
+/// Per-value lattice bits.
+const VARYING: u8 = 1;
+const IV_DEP: u8 = 2;
+/// On a memref value: some store wrote varying data or indices into it.
+const TAINTED: u8 = 4;
+
 /// Result of [`uniformity`]: membership queries for the two lattice sets.
 pub struct Uniformity {
-    varying: HashSet<Value>,
-    iv_dep: HashSet<Value>,
+    /// Lattice bits per value, indexed by [`Value::index`].
+    bits: Vec<u8>,
 }
 
 impl Uniformity {
+    fn has(&self, v: Value, bit: u8) -> bool {
+        self.bits.get(v.index()).is_some_and(|&b| b & bit != 0)
+    }
+
     /// `true` if the value is provably identical for all iterations.
     pub fn is_uniform(&self, v: Value) -> bool {
-        !self.varying.contains(&v)
+        !self.has(v, VARYING)
     }
 
     /// `true` if the value may depend on the parallel induction variables.
     pub fn depends_on_ivs(&self, v: Value) -> bool {
-        self.iv_dep.contains(&v)
+        self.has(v, IV_DEP)
     }
 }
 
 struct Prop<'f> {
     func: &'f Function,
-    varying: HashSet<Value>,
-    iv_dep: HashSet<Value>,
-    /// Buffers some store wrote varying data or indices into.
-    tainted: HashSet<Value>,
+    uni: Uniformity,
     changed: bool,
 }
 
 impl<'f> Prop<'f> {
+    fn any(&self, vals: &[Value], bit: u8) -> bool {
+        vals.iter().any(|&v| self.uni.has(v, bit))
+    }
+
     fn any_varying(&self, vals: &[Value]) -> bool {
-        vals.iter().any(|v| self.varying.contains(v))
+        self.any(vals, VARYING)
     }
 
     fn any_iv(&self, vals: &[Value]) -> bool {
-        vals.iter().any(|v| self.iv_dep.contains(v))
+        self.any(vals, IV_DEP)
+    }
+
+    fn set(&mut self, v: Value, bit: u8) {
+        let b = &mut self.uni.bits[v.index()];
+        if *b & bit == 0 {
+            *b |= bit;
+            self.changed = true;
+        }
     }
 
     fn mark(&mut self, v: Value, varying: bool, iv: bool) {
-        if varying && self.varying.insert(v) {
-            self.changed = true;
+        if varying {
+            self.set(v, VARYING);
         }
-        if iv && self.iv_dep.insert(v) {
-            self.changed = true;
+        if iv {
+            self.set(v, IV_DEP);
         }
     }
 
@@ -73,26 +90,25 @@ impl<'f> Prop<'f> {
         }
     }
 
-    fn terminator_operands(&self, region: RegionId) -> Vec<Value> {
-        self.func
-            .region(region)
+    fn terminator_operands(&self, region: RegionId) -> &'f [Value] {
+        let func = self.func;
+        func.region(region)
             .ops
             .last()
-            .map(|&t| self.func.op(t).operands.clone())
-            .unwrap_or_default()
+            .map_or(&[], |&t| func.op(t).operands.as_slice())
     }
 
     fn step(&mut self, op: OpId) {
-        let operation = self.func.op(op);
-        let operands = operation.operands.clone();
-        let results = operation.results.clone();
+        let func = self.func;
+        let operation = func.op(op);
+        let operands = operation.operands.as_slice();
+        let results = operation.results.as_slice();
         match &operation.kind {
             OpKind::Store => {
                 // operands: value, memref, indices…
                 let mem = operands[1];
-                let data = [&operands[..1], &operands[2..]].concat();
-                if self.any_varying(&data) && self.tainted.insert(mem) {
-                    self.changed = true;
+                if self.any_varying(&operands[..1]) || self.any_varying(&operands[2..]) {
+                    self.set(mem, TAINTED);
                 }
             }
             OpKind::Load => {
@@ -101,26 +117,23 @@ impl<'f> Prop<'f> {
                 // iv-dependence down to plain "varying": a guard fed from
                 // memory is only possibly divergent, never provably so.
                 let mem = operands[0];
-                let varying = self.any_varying(&operands) || self.tainted.contains(&mem);
-                self.mark_all(&results, varying, false);
+                let varying = self.any_varying(operands) || self.uni.has(mem, TAINTED);
+                self.mark_all(results, varying, false);
             }
             OpKind::For => {
                 let body = operation.regions[0];
-                let args = self.func.region(body).args.clone();
+                let args = func.region(body).args.as_slice();
                 let yielded = self.terminator_operands(body);
                 // Bounds decide the induction variable.
                 let bounds = &operands[..3.min(operands.len())];
                 self.mark(args[0], self.any_varying(bounds), self.any_iv(bounds));
                 // Each carried value joins its init and its yielded update.
                 for (i, &arg) in args.iter().skip(1).enumerate() {
-                    let feeds = [
-                        operands.get(3 + i).copied(),
-                        yielded.get(i).copied(),
-                        Some(args[0]),
-                    ];
-                    let feeds: Vec<Value> = feeds.into_iter().flatten().collect();
-                    let varying = self.any_varying(&feeds);
-                    let iv = self.any_iv(&feeds);
+                    let mut feeds = [operands.get(3 + i), yielded.get(i), Some(&args[0])]
+                        .into_iter()
+                        .flatten();
+                    let varying = feeds.clone().any(|&v| self.uni.has(v, VARYING));
+                    let iv = feeds.any(|&v| self.uni.has(v, IV_DEP));
                     self.mark(arg, varying, iv);
                     if let Some(&r) = results.get(i) {
                         self.mark(r, varying, iv);
@@ -130,43 +143,42 @@ impl<'f> Prop<'f> {
             OpKind::While => {
                 let cond_region = operation.regions[0];
                 let body_region = operation.regions[1];
-                let cond_args = self.func.region(cond_region).args.clone();
-                let body_args = self.func.region(body_region).args.clone();
-                let cond_term = self.terminator_operands(cond_region);
-                let body_yield = self.terminator_operands(body_region);
                 // Everything the while defines joins: inits, the loop-back
                 // yield, the forwarded condition values, and the condition
                 // flag itself (divergent trip counts make all of it vary).
-                let mut feeds = operands.clone();
-                feeds.extend_from_slice(&cond_term);
-                feeds.extend_from_slice(&body_yield);
-                let varying = self.any_varying(&feeds);
-                let iv = self.any_iv(&feeds);
-                self.mark_all(&cond_args, varying, iv);
-                self.mark_all(&body_args, varying, iv);
-                self.mark_all(&results, varying, iv);
+                let feeds = [
+                    operands,
+                    self.terminator_operands(cond_region),
+                    self.terminator_operands(body_region),
+                ];
+                let varying = feeds.iter().any(|f| self.any_varying(f));
+                let iv = feeds.iter().any(|f| self.any_iv(f));
+                self.mark_all(&func.region(cond_region).args, varying, iv);
+                self.mark_all(&func.region(body_region).args, varying, iv);
+                self.mark_all(results, varying, iv);
             }
             OpKind::If => {
-                let mut feeds = vec![operands[0]];
-                for &r in &operation.regions {
-                    feeds.extend(self.terminator_operands(r));
-                }
-                let varying = self.any_varying(&feeds);
-                let iv = self.any_iv(&feeds);
-                self.mark_all(&results, varying, iv);
+                let mut feeds = operation
+                    .regions
+                    .iter()
+                    .map(|&r| self.terminator_operands(r))
+                    .chain([&operands[..1]]);
+                let varying = feeds.clone().any(|f| self.any_varying(f));
+                let iv = feeds.any(|f| self.any_iv(f));
+                self.mark_all(results, varying, iv);
             }
             OpKind::Call { .. } => {
                 // Unknown body and memory effects: conservatively varying.
-                self.mark_all(&results, true, self.any_iv(&operands));
+                self.mark_all(results, true, self.any_iv(operands));
             }
             OpKind::Parallel { .. } => {
                 // Iterations of a nested parallel level also diverge from
                 // each other; its ivs are seeded separately.
             }
             _ => {
-                let varying = self.any_varying(&operands);
-                let iv = self.any_iv(&operands);
-                self.mark_all(&results, varying, iv);
+                let varying = self.any_varying(operands);
+                let iv = self.any_iv(operands);
+                self.mark_all(results, varying, iv);
             }
         }
     }
@@ -186,24 +198,20 @@ pub fn uniformity(func: &Function, par: OpId) -> Uniformity {
     let body = func.op(par).regions[0];
     let mut prop = Prop {
         func,
-        varying: HashSet::new(),
-        iv_dep: HashSet::new(),
-        tainted: HashSet::new(),
+        uni: Uniformity {
+            bits: vec![0; func.num_values()],
+        },
         changed: false,
     };
     // Seed: this level's ivs, plus the ivs of any parallel nested below it
     // (those iterations diverge from one another too).
-    let args = func.region(body).args.clone();
-    prop.mark_all(&args, true, true);
-    walk::walk_ops(func, body, &mut |op| {
-        if func.op(op).kind.has_regions() {
-            if let OpKind::Parallel { .. } = func.op(op).kind {
-                let nested = func.region(func.op(op).regions[0]).args.clone();
-                prop.mark_all(&nested, true, true);
-            }
-        }
-    });
+    prop.mark_all(&func.region(body).args, true, true);
     let ops = walk::collect_ops(func, body);
+    for &op in &ops {
+        if let OpKind::Parallel { .. } = func.op(op).kind {
+            prop.mark_all(&func.region(func.op(op).regions[0]).args, true, true);
+        }
+    }
     loop {
         prop.changed = false;
         for &op in &ops {
@@ -213,9 +221,45 @@ pub fn uniformity(func: &Function, par: OpId) -> Uniformity {
             break;
         }
     }
-    Uniformity {
-        varying: prop.varying,
-        iv_dep: prop.iv_dep,
+    prop.uni
+}
+
+/// The lattices of every parallel op of a function, each computed on first
+/// use and then shared by the barrier and race checkers.
+pub(crate) struct Lattices<'f> {
+    func: &'f Function,
+    pars: Vec<(OpId, std::cell::OnceCell<Uniformity>)>,
+}
+
+impl<'f> Lattices<'f> {
+    /// The parallel ops of `func`, in pre-order; nothing is computed yet.
+    pub(crate) fn new(func: &'f Function) -> Lattices<'f> {
+        let mut pars = Vec::new();
+        walk::walk_ops(func, func.body(), &mut |op| {
+            if matches!(func.op(op).kind, OpKind::Parallel { .. }) {
+                pars.push((op, std::cell::OnceCell::new()));
+            }
+        });
+        Lattices { func, pars }
+    }
+
+    /// The parallel ops, in pre-order.
+    pub(crate) fn parallels(&self) -> impl Iterator<Item = OpId> + '_ {
+        self.pars.iter().map(|(op, _)| *op)
+    }
+
+    /// The lattice relative to `par`'s iterations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `par` is not a parallel op of the function.
+    pub(crate) fn of(&self, par: OpId) -> &Uniformity {
+        let (_, cell) = self
+            .pars
+            .iter()
+            .find(|(op, _)| *op == par)
+            .expect("a parallel op of this function");
+        cell.get_or_init(|| uniformity(self.func, par))
     }
 }
 

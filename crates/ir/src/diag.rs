@@ -185,11 +185,11 @@ fn find_path(func: &Function, region: crate::RegionId, target: OpId, path: &mut 
 
 /// A sortable key for stable diagnostic ordering: severity (errors first),
 /// then code, then location.
-pub fn sort_key(d: &Diagnostic) -> (std::cmp::Reverse<Severity>, &'static str, String) {
+pub fn sort_key(d: &Diagnostic) -> (std::cmp::Reverse<Severity>, &'static str, &str) {
     (
         std::cmp::Reverse(d.severity),
         d.code,
-        d.location.clone().unwrap_or_default(),
+        d.location.as_deref().unwrap_or_default(),
     )
 }
 

@@ -66,7 +66,7 @@ pub use interleave::{
 };
 pub use licm::licm;
 pub use pass_manager::{
-    op_census, optimize_traced, run_gated, run_pass, AnalysisGate, GateError, PIPELINE_VERSION,
+    op_census, optimize_traced, run_pass, AnalysisGate, GateError, PIPELINE_VERSION,
 };
 pub use shared_offload::{offload_shared_to_global, OFFLOAD_BYTES_PER_THREAD, SMALL_L1_BYTES};
 

@@ -90,7 +90,7 @@ pub fn run_pass(
 
 /// A transformation introduced an error-grade legality finding (a shared-
 /// memory race or divergent barrier the input did not have). Produced by
-/// [`AnalysisGate::check`] and [`run_gated`].
+/// [`AnalysisGate::check`].
 #[derive(Clone, Debug)]
 pub struct GateError {
     /// Name of the stage that tripped the gate.
@@ -131,39 +131,42 @@ impl From<GateError> for Diagnostic {
     }
 }
 
-/// Legality gate around transformation stages: snapshot the error-grade
-/// findings of the input, transform, and fail hard if new errors appeared.
+/// Legality gate around transformation stages: keep the input, transform,
+/// and fail hard if the output has error-grade findings the input lacked.
 ///
 /// Budgets are compared *per diagnostic code, by count* — transformations
 /// legitimately move, duplicate and renumber operations, so locations are
 /// not stable across a stage, but a stage that turns a race-free kernel
 /// into a racy one always raises some error count.
+///
+/// The input's baseline is computed lazily: a transformed function with no
+/// error-grade finding introduced nothing whatever the input had, so a
+/// clean stage costs one analysis (of its output) and a copy of its input.
 pub struct AnalysisGate {
-    baseline: Baseline,
+    input: Function,
 }
 
 impl AnalysisGate {
-    /// Snapshots `func`'s current error-grade findings as the budget.
+    /// Keeps a snapshot of `func` to take the error budget from.
     pub fn before(func: &Function) -> AnalysisGate {
         AnalysisGate {
-            baseline: Baseline::of(func),
+            input: func.clone(),
         }
     }
 
-    /// The snapshotted baseline.
-    pub fn baseline(&self) -> &Baseline {
-        &self.baseline
-    }
-
-    /// Re-analyzes `func` after a transformation; any error exceeding the
-    /// baseline budget fails the stage.
+    /// Analyzes `func` after a transformation; any error exceeding the
+    /// input's per-code budget fails the stage. The input is analyzed only
+    /// when `func` has an error-grade finding.
     ///
     /// # Errors
     ///
     /// Returns a [`GateError`] carrying the introduced diagnostics.
     pub fn check(&self, func: &Function, stage: &str) -> Result<(), GateError> {
         let report = analyze_function(func);
-        let introduced = introduced_errors(&self.baseline, &report);
+        if report.is_clean() {
+            return Ok(());
+        }
+        let introduced = introduced_errors(&Baseline::of(&self.input), &report);
         if introduced.is_empty() {
             Ok(())
         } else {
@@ -173,35 +176,6 @@ impl AnalysisGate {
             })
         }
     }
-}
-
-/// Runs `transform` under the legality gate and a `gate:<name>` span: the
-/// error baseline is snapshotted before, and the stage fails if the
-/// transformed function has error-grade findings the input did not.
-///
-/// # Errors
-///
-/// Returns a [`GateError`] when the transformation introduced a race or a
-/// divergent barrier; the function is left in its transformed state so the
-/// caller can inspect (or discard) it.
-pub fn run_gated<T>(
-    trace: &Trace,
-    func: &mut Function,
-    name: &str,
-    transform: impl FnOnce(&mut Function) -> T,
-) -> Result<T, GateError> {
-    let gate = AnalysisGate::before(func);
-    let out = transform(func);
-    let result = gate.check(func, name);
-    if trace.is_enabled() {
-        let mut span = trace.span("gate", format!("gate:{name}"));
-        span.record("function", func.name());
-        span.record(
-            "introduced_errors",
-            result.as_ref().err().map_or(0, |e| e.introduced.len()) as u64,
-        );
-    }
-    result.map(|()| out)
 }
 
 /// The standard cleanup pipeline (canonicalize → CSE → LICM → CSE → DCE →
@@ -342,13 +316,9 @@ mod tests {
     #[test]
     fn gate_trips_on_a_pass_that_introduces_a_race() {
         let mut func = parse_function(STAGED).unwrap();
-        let err = run_gated(
-            &respec_trace::Trace::disabled(),
-            &mut func,
-            "drop-barriers",
-            drop_barriers,
-        )
-        .unwrap_err();
+        let gate = AnalysisGate::before(&func);
+        drop_barriers(&mut func);
+        let err = gate.check(&func, "drop-barriers").unwrap_err();
         assert!(
             err.introduced.iter().any(|d| d.code.starts_with("race-")),
             "{err}"
@@ -361,17 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_passes_legal_stages_and_records_a_span() {
+    fn gate_passes_legal_stages() {
         let mut func = parse_function(STAGED).unwrap();
-        let trace = respec_trace::Trace::new();
-        let rewrites = run_gated(&trace, &mut func, "optimize", crate::optimize).unwrap();
-        let _ = rewrites;
-        let events = trace.events();
-        let gate = events.iter().find(|e| e.name == "gate:optimize").unwrap();
-        assert_eq!(
-            gate.metric("introduced_errors").and_then(|m| m.as_f64()),
-            Some(0.0)
-        );
+        let gate = AnalysisGate::before(&func);
+        crate::optimize(&mut func);
+        gate.check(&func, "optimize").unwrap();
     }
 
     #[test]
@@ -380,13 +344,10 @@ mod tests {
         // harmless cleanup stage for errors the input carried in.
         let mut func = parse_function(STAGED).unwrap();
         drop_barriers(&mut func);
-        run_gated(
-            &respec_trace::Trace::disabled(),
-            &mut func,
-            "optimize",
-            crate::optimize,
-        )
-        .expect("the race predates the stage");
+        let gate = AnalysisGate::before(&func);
+        crate::optimize(&mut func);
+        gate.check(&func, "optimize")
+            .expect("the race predates the stage");
     }
 
     #[test]

@@ -62,7 +62,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use respec_analyze::{introduced_errors, Baseline};
@@ -464,7 +464,10 @@ impl<'a> CowVersion<'a> {
 /// Runs decision points 1–2 for one configuration, plus the static
 /// race/barrier legality gate in between: a version whose coarsened +
 /// optimized IR has analyzer errors the input kernel (`baseline`) lacked
-/// is rejected before any backend compilation or measurement.
+/// is rejected before any backend compilation or measurement. The input
+/// kernel's baseline is computed on the first version with an error and
+/// then shared by every worker; a search whose versions are all clean
+/// never analyzes the input.
 ///
 /// The input kernel is **not cloned up front**: a borrowed legality
 /// precheck ([`respec_opt::coarsen_precheck`]) rejects illegal
@@ -476,7 +479,7 @@ pub(crate) fn prepare(
     func: &Function,
     config: CoarsenConfig,
     target: &dyn TargetModel,
-    baseline: &Baseline,
+    baseline: &OnceLock<Baseline>,
     trace: &Trace,
 ) -> Prep {
     if let Err(e) = coarsen_precheck(func, config) {
@@ -531,7 +534,11 @@ pub(crate) fn prepare(
         .max()
         .unwrap_or(0);
     let report = respec_analyze::analyze_function(&version);
-    let introduced = introduced_errors(baseline, &report);
+    let introduced = if report.is_clean() {
+        Vec::new()
+    } else {
+        introduced_errors(baseline.get_or_init(|| Baseline::of(func)), &report)
+    };
     if !introduced.is_empty() {
         return Prep::Pruned {
             reason: PruneReason::StaticallyUnsafe {
@@ -616,7 +623,7 @@ pub(crate) fn prepare_caught(
     func: &Function,
     config: CoarsenConfig,
     target: &dyn TargetModel,
-    baseline: &Baseline,
+    baseline: &OnceLock<Baseline>,
     trace: &Trace,
 ) -> Prep {
     catch_unwind(AssertUnwindSafe(|| {
@@ -1326,7 +1333,7 @@ where
             return Ok(result);
         }
     }
-    let baseline = Baseline::of(func);
+    let baseline = OnceLock::new();
     let dedup = ConfigDedup::new(configs);
     let timed: Vec<(Prep, f64)> = parallel_map(dedup.primaries.len(), workers, |k| {
         let started = Instant::now();
@@ -1466,7 +1473,7 @@ mod tests {
             &func,
             CoarsenConfig::identity(),
             &target,
-            &Baseline::default(),
+            &OnceLock::from(Baseline::default()),
             &Trace::disabled(),
         );
         match prep {
@@ -1491,10 +1498,39 @@ mod tests {
             &func,
             CoarsenConfig::identity(),
             &target,
-            &Baseline::of(&func),
+            &OnceLock::new(),
             &Trace::disabled(),
         );
         assert!(matches!(prep, Prep::Ready(_)));
+    }
+
+    #[test]
+    fn lazy_baseline_prunes_like_the_eager_one() {
+        // The racy kernel's own errors are the budget; thread coarsening
+        // duplicates its racy accesses, so some versions exceed it. The
+        // baseline computed on first need must give each candidate the same
+        // prune reason as one computed up front.
+        let func = parse_function(RACY).unwrap();
+        let target = targets::a100();
+        let configs = crate::candidate_configs(crate::Strategy::Combined, &[1, 2, 4], &[8, 1, 1]);
+        let eager = OnceLock::from(Baseline::of(&func));
+        let lazy = OnceLock::new();
+        let mut unsafe_versions = 0;
+        for &config in &configs {
+            let reason =
+                |baseline| match prepare(&func, config, &target, baseline, &Trace::disabled()) {
+                    Prep::Pruned { reason, .. } => Some(reason),
+                    Prep::Ready(_) => None,
+                };
+            let expected = reason(&eager);
+            assert_eq!(reason(&lazy), expected, "{config}");
+            unsafe_versions += usize::from(matches!(
+                expected,
+                Some(PruneReason::StaticallyUnsafe { .. })
+            ));
+        }
+        assert!(unsafe_versions > 0, "no version exceeds the racy budget");
+        assert_eq!(lazy.get(), eager.get(), "the lazy baseline is the input's");
     }
 
     #[test]
@@ -1509,8 +1545,14 @@ mod tests {
         let trace = Trace::new();
         let configs = vec![CoarsenConfig::identity(), CoarsenConfig::identity()];
         let preps = vec![
-            prepare(&safe, configs[0], &target, &Baseline::of(&safe), &trace),
-            prepare(&racy, configs[1], &target, &Baseline::default(), &trace),
+            prepare(&safe, configs[0], &target, &OnceLock::new(), &trace),
+            prepare(
+                &racy,
+                configs[1],
+                &target,
+                &OnceLock::from(Baseline::default()),
+                &trace,
+            ),
         ];
         let plan = plan_groups(&configs, &preps);
         let mut run = |_: &Function, _: u32| Ok(1e-3);
@@ -1594,7 +1636,7 @@ mod tests {
             CoarsenConfig::identity(),
             CoarsenConfig::identity(),
         ];
-        let baseline = Baseline::of(func);
+        let baseline = OnceLock::new();
         let preps: Vec<Prep> = configs
             .iter()
             .map(|&c| prepare(func, c, &target, &baseline, &Trace::disabled()))

@@ -118,11 +118,12 @@ fn every_rodinia_app_matches_its_golden() {
 #[test]
 fn golden_directory_has_no_stray_files() {
     let dir = golden_dir();
-    // `sim_small.txt` is the simulator pin of `tests/sim_goldens.rs`.
+    // `sim_small.txt` is the simulator pin of `tests/sim_goldens.rs`, and
+    // `analysis.txt` the analyzer pin of `tests/analysis_goldens.rs`.
     let known: Vec<String> = all_apps()
         .iter()
         .map(|a| format!("{}.ir", a.name()))
-        .chain(["sim_small.txt".to_string()])
+        .chain(["sim_small.txt".to_string(), "analysis.txt".to_string()])
         .collect();
     let mut strays = Vec::new();
     for entry in std::fs::read_dir(&dir).expect("tests/goldens exists") {
