@@ -8,6 +8,7 @@
 
 use respec::opt::optimize;
 use respec::sim::SimError;
+use respec::tune::PruneReason;
 use respec::{
     candidate_configs, targets, tune_kernel_pooled, ExecMode, Function, GpuSim, Module, Strategy,
     TargetDesc, TargetModel, Trace, TuneOptions, TuneResult, TuningCache,
@@ -154,20 +155,14 @@ pub fn tuned_module_with(
     )
     .ok();
     if let Some(r) = &result {
-        // Surface best-effort degradation (injected faults, lost
-        // candidates) without failing the harness: the winner is still the
-        // best *surviving* candidate.
-        if let Some(d) = r.degraded() {
-            eprintln!(
-                "tuned_module[{}]: degraded search — {} fault(s) injected, {} retries, \
-                 {} recovered, {} abandoned, {} candidate(s) lost",
-                app.name(),
-                d.faults_injected,
-                d.retries,
-                d.recovered,
-                d.abandoned,
-                d.lost.len()
-            );
+        // Surface candidates lost to a failed compile or run without
+        // failing the harness: the winner is the best *surviving* one.
+        for c in &r.candidates {
+            if let Some(reason @ (PruneReason::CompileFailed(_) | PruneReason::RunFailed(_))) =
+                &c.pruned
+            {
+                eprintln!("tuned_module[{}]: {} lost: {reason}", app.name(), c.config);
+            }
         }
         module.add_function(r.best.clone());
     }

@@ -6,8 +6,8 @@
 //! and a tuning winner depends only on the input IR, the target, and the
 //! searched configuration set. "A Few Fit Most" makes the same point from
 //! the transfer side — a handful of tuned variants covers many devices —
-//! so winners are worth keeping *across* targets too, as warm-start hints
-//! for retargeted searches.
+//! so winners are worth keeping *across* targets too, as the pool a
+//! fat-binary mine selects variants from ([`fatbin::mine_variants`]).
 //!
 //! This crate is the on-disk half of that story. A [`TuningCache`] is a
 //! directory of small, versioned, self-describing entries addressed by
@@ -21,8 +21,7 @@
 //!   `(target kind, structural IR hash of the *input* kernel, target
 //!   fingerprint, search fingerprint)`, where the target kind is the
 //!   family tag (`"gpu"` / `"cpu"`) and the search fingerprint digests the
-//!   candidate configuration list and nothing else — deliberately
-//!   *fault-plan-free*, so a chaos run and a clean run share entries.
+//!   candidate configuration list and nothing else.
 //!
 //! # Durability contract
 //!
@@ -64,7 +63,7 @@ pub mod fatbin;
 /// and a `target_kind` grammar line): fingerprints of different target
 /// families live in disjoint hash domains already, but the kind tag makes
 /// the separation structural — a CPU entry can never collide with or
-/// warm-start a GPU entry even if fingerprints were to collide.
+/// replay into a GPU search even if fingerprints were to collide.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// File extension of cache entries.
@@ -229,9 +228,8 @@ impl TuningCache {
 
     /// Digests a candidate-configuration list into the search fingerprint
     /// component of winner keys. Deliberately covers the configs only —
-    /// not the fault plan, retry policy, or worker count — so searches
-    /// that explore the same space share winners regardless of how they
-    /// were scheduled or chaos-tested.
+    /// not the worker count — so searches that explore the same space
+    /// share winners regardless of how they were scheduled.
     pub fn search_fingerprint(configs: &[CoarsenConfig]) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(configs.len() as u64);
@@ -433,51 +431,21 @@ impl TuningCache {
         }
     }
 
-    /// Every readable, version-current winner recorded for `input_hash` on
-    /// a target *other* than `exclude_target`, within the same target
-    /// kind — the cross-target transfer set a retargeted search
-    /// warm-starts from. Warm starts never cross the GPU/CPU divide: the
-    /// two families have opposite preferences (few heavy threads vs many
-    /// light ones), so a cross-kind hint would prioritize exactly the
-    /// wrong configurations. Results are ordered by file name, so
-    /// consumers are deterministic given a directory state; unreadable
-    /// entries are skipped (they surface as invalidations only when
-    /// looked up directly).
-    pub fn cross_target_winners(
-        &self,
-        target_kind: &str,
-        input_hash: u64,
-        exclude_target: u64,
-    ) -> Vec<StoredWinner> {
-        self.scan_winners(target_kind, input_hash, Some(exclude_target))
-    }
-
     /// Every readable, version-current winner recorded for `input_hash`
     /// within `target_kind`, across *all* targets of that kind — the pool a
     /// fat-binary mine ([`fatbin::mine_variants`]) selects variants from.
-    /// Same ordering and kind-scoping contract as
-    /// [`TuningCache::cross_target_winners`], with no target excluded.
+    /// The scan never crosses the GPU/CPU divide: the two families have
+    /// opposite preferences (few heavy threads vs many light ones). Results
+    /// are ordered by file name, so consumers are deterministic given a
+    /// directory state; unreadable entries are skipped (they surface as
+    /// invalidations only when looked up directly).
     pub fn winners_for_input(&self, target_kind: &str, input_hash: u64) -> Vec<StoredWinner> {
-        self.scan_winners(target_kind, input_hash, None)
-    }
-
-    fn scan_winners(
-        &self,
-        target_kind: &str,
-        input_hash: u64,
-        exclude_target: Option<u64>,
-    ) -> Vec<StoredWinner> {
         let prefix = format!("w-{target_kind}-{input_hash:016x}-");
-        let skip = exclude_target.map(|t| format!("w-{target_kind}-{input_hash:016x}-{t:016x}-"));
         let mut names: Vec<String> = match fs::read_dir(&self.dir) {
             Ok(rd) => rd
                 .filter_map(|e| e.ok())
                 .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| {
-                    n.starts_with(&prefix)
-                        && skip.as_ref().is_none_or(|s| !n.starts_with(s.as_str()))
-                        && n.ends_with(EXT)
-                })
+                .filter(|n| n.starts_with(&prefix) && n.ends_with(EXT))
                 .collect(),
             Err(_) => return Vec::new(),
         };
@@ -491,10 +459,10 @@ impl TuningCache {
             // The file-name prefix scopes the scan to one kind, but the
             // name is only an index — a renamed or hand-planted entry can
             // claim a different kind in its body. The body is
-            // authoritative: drop any winner whose recorded kind (or
-            // excluded target) disagrees, so a mixed gpu+cpu store can
-            // never leak a variant across the kind divide.
-            .filter(|w| w.target_kind == target_kind && Some(w.target) != exclude_target)
+            // authoritative: drop any winner whose recorded kind
+            // disagrees, so a mixed gpu+cpu store can never leak a variant
+            // across the kind divide.
+            .filter(|w| w.target_kind == target_kind)
             .collect()
     }
 
@@ -845,31 +813,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_target_winners_exclude_the_current_target() {
-        let cache = TuningCache::open(temp_cache_dir("xtarget")).unwrap();
-        let mut here = sample_winner();
-        here.target = 0xaaaa;
-        let mut there = sample_winner();
-        there.target = 0xbbbb;
-        there.config = CoarsenConfig {
-            block: [1, 1, 1],
-            thread: [8, 1, 1],
-        };
-        cache.store_winner(7, 9, &here).unwrap();
-        cache.store_winner(7, 9, &there).unwrap();
-        // A winner for a *different kernel* must never be a hint.
-        cache.store_winner(8, 9, &there).unwrap();
-        let hints = cache.cross_target_winners("gpu", 7, 0xaaaa);
-        assert_eq!(hints.len(), 1);
-        assert_eq!(hints[0].config, there.config);
-        assert_eq!(hints[0].target, 0xbbbb);
-    }
-
-    #[test]
     fn cross_kind_lookups_always_miss() {
         // The same fingerprints under a different target kind must be
-        // invisible: a CPU search can never replay, preload, or
-        // warm-start from a GPU entry (and vice versa).
+        // invisible: a CPU search can never replay, preload, or mine a
+        // GPU entry (and vice versa).
         let cache = TuningCache::open(temp_cache_dir("kind")).unwrap();
         let w = sample_winner(); // target_kind: "gpu"
         cache.store_winner(7, 9, &w).unwrap();
@@ -878,8 +825,8 @@ mod tests {
         assert_eq!(cache.load_winner("cpu", 7, 0xfeed, 9), Lookup::Miss);
         assert_eq!(cache.load_report("cpu", 1, 2), Lookup::Miss);
         assert!(
-            cache.cross_target_winners("cpu", 7, 0).is_empty(),
-            "warm starts must not cross the gpu/cpu divide"
+            cache.winners_for_input("cpu", 7).is_empty(),
+            "winner scans must not cross the gpu/cpu divide"
         );
         // Same-kind lookups still hit.
         assert!(matches!(
@@ -887,7 +834,7 @@ mod tests {
             Lookup::Hit(_)
         ));
         assert!(matches!(cache.load_report("gpu", 1, 2), Lookup::Hit(_)));
-        assert_eq!(cache.cross_target_winners("gpu", 7, 0).len(), 1);
+        assert_eq!(cache.winners_for_input("gpu", 7).len(), 1);
 
         // A CPU winner under the same hashes coexists as an independent
         // entry rather than clobbering the GPU one.
@@ -908,7 +855,7 @@ mod tests {
         // variant across the kind divide — even when an entry *file name*
         // lies about its kind. Plant a winner whose body says "cpu" under a
         // gpu-prefixed name (simulating a renamed or hand-planted entry):
-        // both scan APIs must drop it, because the body is authoritative.
+        // the scan must drop it, because the body is authoritative.
         let cache = TuningCache::open(temp_cache_dir("kind-leak")).unwrap();
         let gpu = sample_winner();
         cache.store_winner(7, 9, &gpu).unwrap();
@@ -945,13 +892,6 @@ mod tests {
         let mined = cache.winners_for_input("gpu", 7);
         assert_eq!(mined.len(), 1, "forged cpu entry must not leak: {mined:?}");
         assert!(mined.iter().all(|w| w.target_kind == "gpu"));
-        assert!(
-            cache
-                .cross_target_winners("gpu", 7, 0)
-                .iter()
-                .all(|w| w.target_kind == "gpu"),
-            "warm-start hints must honor the body kind too"
-        );
     }
 
     #[test]
@@ -963,9 +903,8 @@ mod tests {
         b.target = 0xbbbb;
         cache.store_winner(7, 9, &a).unwrap();
         cache.store_winner(7, 9, &b).unwrap();
-        // Unlike the warm-start scan, mining excludes no target…
+        // Mining excludes no target…
         assert_eq!(cache.winners_for_input("gpu", 7).len(), 2);
-        assert_eq!(cache.cross_target_winners("gpu", 7, 0xaaaa).len(), 1);
         // …and still scopes by kernel hash.
         assert!(cache.winners_for_input("gpu", 8).is_empty());
     }

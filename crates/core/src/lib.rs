@@ -68,13 +68,13 @@ pub use respec_frontend::KernelSpec;
 pub use respec_ir::{Diagnostic, Function, Module, Severity};
 pub use respec_opt::{CoarsenConfig, IndexingStyle};
 pub use respec_sim::{
-    targets, CpuTargetDesc, ExecMode, FaultKind, FaultPlan, FaultSite, FaultSpec, GpuSim,
-    KernelArg, LaunchReport, TargetDesc, TargetKind, TargetModel,
+    targets, CpuTargetDesc, ExecMode, GpuSim, KernelArg, LaunchReport, TargetDesc, TargetKind,
+    TargetModel,
 };
 pub use respec_trace::{Trace, TraceSummary};
 pub use respec_tune::{
-    candidate_configs, tune_kernel_pooled, DegradedReport, PhaseTimings, RetryPolicy, Strategy,
-    TuneErrorKind, TuneOptions, TuneResult, TuneStats, DEFAULT_TOTALS,
+    candidate_configs, tune_kernel_pooled, PhaseTimings, Strategy, TuneErrorKind, TuneOptions,
+    TuneResult, TuneStats, DEFAULT_TOTALS,
 };
 
 /// One-line import for the common facade workflow:
@@ -82,8 +82,8 @@ pub use respec_tune::{
 pub mod prelude {
     pub use crate::{
         targets, CoarsenConfig, Compiled, Compiler, CpuTargetDesc, Diagnostic, Error, FatCompiled,
-        FaultPlan, FaultSpec, GpuSim, KernelArg, LaunchReport, RetryPolicy, Severity, Strategy,
-        TargetDesc, TargetKind, TargetModel, Trace, TuneOptions, TuneResult, TuningCache,
+        GpuSim, KernelArg, LaunchReport, Severity, Strategy, TargetDesc, TargetKind, TargetModel,
+        Trace, TuneOptions, TuneResult, TuningCache,
     };
 }
 
@@ -253,9 +253,8 @@ impl Compiler {
 
     /// Attaches a persistent tuning cache rooted at `dir` (created on
     /// first use): autotune calls on the [`Compiled`] artifact replay
-    /// stored winners, skip backend compiles whose reports are stored, and
-    /// warm-start candidate ordering from winners recorded for other
-    /// targets. Without this call the `RESPEC_CACHE_DIR` environment
+    /// stored winners and skip backend compiles whose reports are stored.
+    /// Without this call the `RESPEC_CACHE_DIR` environment
     /// variable (read at [`Compiler::compile`] time) selects the
     /// directory; an explicit `with_cache` wins over the environment.
     pub fn with_cache(mut self, dir: impl Into<PathBuf>) -> Compiler {
@@ -442,12 +441,10 @@ impl Compiled {
     /// the kernel in [`Compiled::module`]. The one-kernel case of
     /// [`Compiled::autotune_all`].
     ///
-    /// The search is **best-effort** when `options.fault_plan` is active or
-    /// runs fail for real: faulted candidates are retried
-    /// ([`TuneOptions::retry`]), re-elected within their cache group and
-    /// finally demoted, and a winner is still returned as long as *some*
-    /// candidate survives — inspect [`TuneResult::degraded`] for what was
-    /// lost. Only a search with no survivors errors ([`TuneErrorKind`]).
+    /// The search is **best-effort**: a group whose compile or run fails is
+    /// pruned once, with the failure as every member's prune reason, and a
+    /// winner is still returned as long as *some* candidate survives. Only
+    /// a search with no survivors errors ([`TuneErrorKind`]).
     ///
     /// # Errors
     ///
@@ -495,8 +492,8 @@ impl Compiled {
         }
         let workers = options.effective_parallelism();
         let outer = workers.min(jobs.len()).max(1);
-        // The caller's options (fault plan, retry policy, explicit cache) with
-        // the inner share of the worker budget; this artifact's persistent
+        // The caller's options (strategy, totals, explicit cache) with the
+        // inner share of the worker budget; this artifact's persistent
         // cache is injected unless the caller already chose one.
         let inner = TuneOptions {
             parallelism: (workers / outer).max(1),
@@ -546,8 +543,8 @@ pub struct TraceReport {
     pub tune_events: usize,
     /// Simulated kernel-launch spans (category `sim`).
     pub launch_spans: usize,
-    /// Persistent-cache events — lookups, warm-starts, counters (category
-    /// `cache`).
+    /// Persistent-cache events — lookups, store failures, counters
+    /// (category `cache`).
     pub cache_events: usize,
     /// All events recorded, any category.
     pub total_events: usize,
@@ -975,35 +972,6 @@ mod tests {
                 compiled.module.function(name).unwrap().to_string(),
                 result.best.to_string()
             );
-        }
-    }
-
-    #[test]
-    fn autotune_all_honours_the_callers_fault_plan() {
-        // Launch traps only (no timing noise): every measurement that gets
-        // through is unperturbed, so a recovered search picks the clean
-        // winner — and the multi-kernel path must actually inject.
-        let names = ["axpy", "scale"];
-        let options = TuneOptions::with_parallelism(2).totals(&[1, 2, 4]);
-        let clean = compile_two_kernels()
-            .autotune_all(&names, &options, |_name| axpy_runner())
-            .unwrap();
-        let spec = FaultSpec {
-            launch_rate: 0.3,
-            ..FaultSpec::none()
-        };
-        let chaotic = options
-            .fault_plan(FaultPlan::new(7, spec))
-            .retry(RetryPolicy::default().with_max_retries(8));
-        let faulted = compile_two_kernels()
-            .autotune_all(&names, &chaotic, |_name| axpy_runner())
-            .unwrap();
-        for (c, f) in clean.iter().zip(&faulted) {
-            assert_eq!(c.stats.faults_injected, 0);
-            assert!(f.stats.faults_injected > 0, "the caller's plan must inject");
-            assert_eq!(f.best_config, c.best_config);
-            assert_eq!(f.best_seconds.to_bits(), c.best_seconds.to_bits());
-            assert_eq!(f.best.to_string(), c.best.to_string());
         }
     }
 }

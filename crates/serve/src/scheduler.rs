@@ -105,8 +105,6 @@ pub struct TuneOutcome {
     pub persistent_hits: usize,
     /// Persistent-cache misses observed by the engine.
     pub persistent_misses: usize,
-    /// Whether the search was warm-started from another target's winner.
-    pub warm_start: bool,
     /// Candidate configurations explored.
     pub candidates: usize,
     /// Milliseconds the job waited in the queue before a worker took it.

@@ -689,7 +689,6 @@ fn tune_response(id: Option<&str>, coalesced: bool, outcome: &TuneOutcome) -> St
         .u64("runner_calls", outcome.runner_calls as u64)
         .u64("persistent_hits", outcome.persistent_hits as u64)
         .u64("persistent_misses", outcome.persistent_misses as u64)
-        .bool("warm_start", outcome.warm_start)
         .u64("candidates", outcome.candidates as u64)
         .f64("queue_ms", outcome.queue_ms)
         .f64("tune_ms", outcome.tune_ms)
@@ -805,7 +804,6 @@ fn execute_tune(shared: &Arc<Shared>, job: &TuneJob, trace: &Trace, queue_ms: f6
             outcome.runner_calls = stats.runner_calls;
             outcome.persistent_hits = stats.persistent_hits;
             outcome.persistent_misses = stats.persistent_misses;
-            outcome.warm_start = stats.warm_starts > 0;
             outcome.candidates = result.candidates.len();
         }
         Err(err) => outcome.error = Some(err.to_string()),

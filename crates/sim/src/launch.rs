@@ -10,7 +10,6 @@ use respec_trace::Trace;
 
 use crate::cache::Cache;
 use crate::decoded::DecodedProgram;
-use crate::fault::{self, FaultKind, FaultPlan, FaultSite};
 use crate::interp::{want_int, Interp, SimError, StepCx, StepEvent, WarpCounters};
 use crate::memory::{BufferId, DeviceMemory};
 use crate::occupancy::{occupancy, BlockResources, Occupancy};
@@ -47,11 +46,6 @@ pub struct LaunchOptions {
     /// distinct threads as [`RaceRecord`]s. Observational only — results
     /// and timing estimates are unchanged.
     pub sanitize_shared: bool,
-    /// Deterministic fault-injection schedule for this launch. Disabled by
-    /// default. Faults are keyed by kernel name and the simulator's launch
-    /// ordinal, so a replay of the same launch sequence reproduces the same
-    /// faults exactly.
-    pub fault_plan: FaultPlan,
 }
 
 impl LaunchOptions {
@@ -60,19 +54,12 @@ impl LaunchOptions {
         LaunchOptions {
             regs_per_thread,
             sanitize_shared: false,
-            fault_plan: FaultPlan::disabled(),
         }
     }
 
     /// Enables or disables the shared-memory sanitizer.
     pub fn sanitize(mut self, on: bool) -> LaunchOptions {
         self.sanitize_shared = on;
-        self
-    }
-
-    /// Sets the fault-injection plan for this launch.
-    pub fn faults(mut self, plan: FaultPlan) -> LaunchOptions {
-        self.fault_plan = plan;
         self
     }
 }
@@ -243,8 +230,6 @@ pub struct GpuSim {
     trace: Trace,
     sanitize_shared: bool,
     races: Vec<RaceRecord>,
-    fault_plan: FaultPlan,
-    launch_seq: u32,
     exec_mode: ExecMode,
 }
 
@@ -286,8 +271,6 @@ impl GpuSim {
             trace: Trace::disabled(),
             sanitize_shared: false,
             races: Vec::new(),
-            fault_plan: FaultPlan::disabled(),
-            launch_seq: 0,
             exec_mode: ExecMode::WarpVectorized,
         }
     }
@@ -297,19 +280,6 @@ impl GpuSim {
     /// timing. Defaults to [`ExecMode::WarpVectorized`].
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
-    }
-
-    /// Installs a fault-injection plan for subsequent launches (including
-    /// launches an application drives internally). Faults are keyed by
-    /// kernel name and the launch ordinal, so replaying the same launch
-    /// sequence on a fresh simulator reproduces the same faults.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
-    }
-
-    /// The currently installed fault plan (disabled by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
     }
 
     /// Turns the shared-memory sanitizer on or off for subsequent launches
@@ -428,25 +398,6 @@ impl GpuSim {
         opts: LaunchOptions,
     ) -> Result<LaunchReport, SimError> {
         let regs_per_thread = opts.regs_per_thread;
-        // Fault injection: a plan passed per launch wins; otherwise the
-        // simulator-wide plan applies. Keys are (kernel name, launch
-        // ordinal) so a replayed launch sequence faults identically.
-        let plan = if opts.fault_plan.is_active() {
-            opts.fault_plan
-        } else {
-            self.fault_plan
-        };
-        let fault_key = fault::key_of(func.name());
-        let fault_seq = self.launch_seq;
-        self.launch_seq = self.launch_seq.wrapping_add(1);
-        if let Some(f) = plan.decide(FaultSite::Launch, fault_key, fault_seq) {
-            self.trace.instant(
-                "sim",
-                format!("fault:{}:{}", f.kind.label(), func.name()),
-                &[],
-            );
-            return Err(f.to_sim_error());
-        }
         let mut sanitizer = opts
             .sanitize_shared
             .then(|| Sanitizer::new(func.name().to_string()));
@@ -557,22 +508,7 @@ impl GpuSim {
         let model_start = Instant::now();
         let total_timing = estimate(&self.target, &stats, &occ, total_blocks.max(1));
         scratch.threads.host.model_ns += ns_since(model_start);
-        let mut seconds = total_timing.seconds;
-        if let Some(f) = plan.decide(FaultSite::Timing, fault_key, fault_seq) {
-            self.trace.instant(
-                "sim",
-                format!("fault:{}:{}", f.kind.label(), func.name()),
-                &[],
-            );
-            match f.kind {
-                // The measurement hung: the kernel ran (memory effects are
-                // kept — a real hang is detected after the work completed or
-                // not at all) but no timing is reported.
-                FaultKind::TimeoutExceeded => return Err(f.to_sim_error()),
-                FaultKind::NoisyTiming { factor } => seconds *= factor,
-                _ => {}
-            }
-        }
+        let seconds = total_timing.seconds;
         let (exec, host_time) = (scratch.threads.exec, scratch.threads.host);
         self.elapsed_seconds += seconds + LAUNCH_OVERHEAD_S;
         self.total_stats.accumulate(&stats);
@@ -1699,90 +1635,5 @@ mod tests {
             "{}",
             err.message
         );
-    }
-
-    fn saxpy_args(sim: &mut GpuSim, n: usize) -> Vec<KernelArg> {
-        let yb = sim.mem.alloc_f32(&vec![1.0; n]);
-        let xb = sim.mem.alloc_f32(&vec![1.0; n]);
-        vec![
-            KernelArg::Buf(yb),
-            KernelArg::Buf(xb),
-            KernelArg::F32(2.0),
-            KernelArg::I32(n as i32),
-        ]
-    }
-
-    #[test]
-    fn injected_launch_trap_surfaces_as_sim_error_and_skips_bookkeeping() {
-        let func = compile_saxpy();
-        let plan = FaultPlan::new(11, crate::fault::FaultSpec::uniform(1.0));
-        let mut sim = GpuSim::new(a100());
-        sim.set_fault_plan(plan);
-        let args = saxpy_args(&mut sim, 256);
-        let err = sim.launch(&func, [1, 1, 1], &args, 32).unwrap_err();
-        assert!(err.message.contains("injected fault"), "{}", err.message);
-        assert!(err.message.contains("launch-trap"));
-        assert_eq!(sim.launch_log.len(), 0);
-        assert_eq!(sim.elapsed_seconds, 0.0);
-    }
-
-    #[test]
-    fn fault_schedule_replays_identically_and_can_recover_by_sequence() {
-        let func = compile_saxpy();
-        let plan = FaultPlan::new(5, crate::fault::FaultSpec::uniform(0.5));
-        let run = || {
-            let mut sim = GpuSim::new(a100());
-            sim.set_fault_plan(plan);
-            let args = saxpy_args(&mut sim, 256);
-            (0..16)
-                .map(|_| sim.launch(&func, [1, 1, 1], &args, 32).is_ok())
-                .collect::<Vec<bool>>()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same plan must fault the same launches");
-        assert!(a.iter().any(|ok| *ok), "rate 0.5 should let some through");
-        assert!(a.iter().any(|ok| !*ok), "rate 0.5 should trap some");
-    }
-
-    #[test]
-    fn noisy_timing_slows_but_preserves_results() {
-        let func = compile_saxpy();
-        let n = 256usize;
-        let clean = {
-            let mut sim = GpuSim::new(a100());
-            let args = saxpy_args(&mut sim, n);
-            sim.launch(&func, [1, 1, 1], &args, 32)
-                .unwrap()
-                .kernel_seconds
-        };
-        let plan = FaultPlan::new(2, crate::fault::FaultSpec::none().with_noise(1.0));
-        let mut sim = GpuSim::new(a100());
-        sim.set_fault_plan(plan);
-        let args = saxpy_args(&mut sim, n);
-        let report = sim.launch(&func, [1, 1, 1], &args, 32).unwrap();
-        assert!(
-            report.kernel_seconds > clean,
-            "noise must be a strict slowdown: {} vs {}",
-            report.kernel_seconds,
-            clean
-        );
-        let yb = match args[0] {
-            KernelArg::Buf(id) => id,
-            _ => unreachable!(),
-        };
-        assert_eq!(sim.mem.read_f32(yb), vec![3.0f32; n]);
-    }
-
-    #[test]
-    fn per_launch_plan_overrides_simulator_plan() {
-        let func = compile_saxpy();
-        let mut sim = GpuSim::new(a100());
-        let args = saxpy_args(&mut sim, 128);
-        let opts =
-            LaunchOptions::new(32).faults(FaultPlan::new(1, crate::fault::FaultSpec::uniform(1.0)));
-        assert!(sim.launch_with(&func, [1, 1, 1], &args, opts).is_err());
-        // Simulator-level plan stays disabled: plain launches still work.
-        assert!(sim.launch(&func, [1, 1, 1], &args, 32).is_ok());
     }
 }

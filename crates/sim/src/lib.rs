@@ -47,7 +47,6 @@
 
 mod cache;
 mod decoded;
-pub mod fault;
 mod interp;
 mod launch;
 mod memory;
@@ -59,7 +58,6 @@ mod value;
 mod warp;
 
 pub use cache::{bank_conflict_factor, coalesce_sectors, Cache};
-pub use fault::{EnvConfigError, Fault, FaultKind, FaultPlan, FaultSite, FaultSpec};
 pub use interp::{InstClass, SimError, INTERP_BUILDS};
 pub use launch::{
     ExecCounters, ExecMode, GpuSim, HostTime, KernelArg, KernelTiming, LaunchOptions, LaunchReport,

@@ -23,34 +23,18 @@
 //! builds its own runner from the caller's factory, so simulators are never
 //! shared across threads.
 //!
-//! # Resilience
+//! # Failure handling
 //!
-//! Evaluation survives failure instead of aborting the search. Any step of
-//! a member's evaluation can fail — a backend error or injected
-//! `CompileReject`, a runner error, panic or injected `LaunchTrap`, an
-//! injected `TimeoutExceeded` — and each failure costs exactly that
-//! attempt:
-//!
-//! * **Retry with backoff** — failed attempts are re-tried up to
-//!   [`crate::RetryPolicy::max_retries`] times under a *virtual* clock
-//!   (exponential backoff plus measured run cost; no wall time), bounded by
-//!   [`crate::RetryPolicy::deadline`]. Injected faults re-roll per attempt,
-//!   so transient faults genuinely recover.
-//! * **Re-election** — when a group's representative exhausts its retries,
-//!   the next member (in candidate order) is elected and evaluated instead
-//!   of discarding the whole group. Members share byte-identical IR, so a
-//!   successful re-election preserves the measurement bit-for-bit under a
-//!   deterministic runner.
-//! * **Demotion, not abortion** — members that exhaust every option are
-//!   demoted to `PruneReason::{CompileFailed, RunFailed, TimedOut}`;
-//!   the search continues and reports the loss via
-//!   [`crate::TuneResult::degraded`].
-//!
-//! Runner panics are caught per-attempt ([`std::panic::catch_unwind`]); a
-//! panicking candidate is demoted like any failed run and the worker keeps
-//! serving other groups. Faults are keyed by *candidate index* and attempt
-//! number — never by thread or schedule — so serial and parallel runs under
-//! the same [`respec_sim::FaultPlan`] observe identical faults.
+//! Evaluation survives failure instead of aborting the search. A group's
+//! one evaluation can fail three ways: the backend rejects the version
+//! (`try_compile_launch` error), the runner returns a [`SimError`], or the
+//! runner panics (caught with [`std::panic::catch_unwind`], so the worker
+//! keeps serving other groups). None of them is transient — the backend
+//! and the simulator are deterministic, and every member of a group has
+//! byte-identical IR — so nothing is retried: the failure prunes the whole
+//! group, and every member carries the same `PruneReason::CompileFailed`
+//! or `PruneReason::RunFailed`. The search continues with the other
+//! groups.
 //!
 //! The join step walks candidates **in generation order** to emit decision
 //! events and select the winner (strictly-smaller time wins; ties keep the
@@ -58,7 +42,7 @@
 //! IR and both phases produce per-index results independent of scheduling,
 //! serial and parallel runs select byte-identical winners with bit-identical
 //! times and identical decision logs — the contract the determinism proptest
-//! enforces, now including the fault/retry/re-election machinery.
+//! enforces.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,22 +57,14 @@ use respec_ir::{parse_function, structural_hash, Function};
 use respec_opt::{
     coarsen_function, coarsen_precheck, optimize_traced, CoarsenConfig, CpuLoweringParams,
 };
-use respec_sim::{FaultKind, FaultPlan, FaultSite, SimError, TargetDesc, TargetKind, TargetModel};
+use respec_sim::{SimError, TargetDesc, TargetKind, TargetModel};
 use respec_trace::Trace;
 
-use crate::pool::{panic_message, parallel_map};
+use crate::pool::{panic_message, parallel_map, parallel_map_with};
 use crate::{
-    candidate_metrics, Candidate, PhaseTimings, PruneReason, RetryPolicy, TuneError, TuneErrorKind,
-    TuneResult, TuneStats,
+    candidate_metrics, Candidate, PhaseTimings, PruneReason, TuneError, TuneErrorKind, TuneResult,
+    TuneStats,
 };
-
-/// Fault schedule + retry policy, threaded through the driver.
-pub(crate) struct Resilience {
-    /// What to inject, where, and when.
-    pub plan: FaultPlan,
-    /// How hard to fight back.
-    pub retry: RetryPolicy,
-}
 
 /// Tally of persistent-cache traffic over one search, folded into
 /// [`TuneStats`] at the end.
@@ -96,7 +72,6 @@ pub(crate) struct Resilience {
 pub(crate) struct PersistentCounters {
     hits: usize,
     misses: usize,
-    warm_starts: usize,
     invalidations: usize,
 }
 
@@ -104,7 +79,6 @@ impl PersistentCounters {
     fn apply(&self, stats: &mut TuneStats) {
         stats.persistent_hits = self.hits;
         stats.persistent_misses = self.misses;
-        stats.warm_starts = self.warm_starts;
         stats.invalidations = self.invalidations;
     }
 }
@@ -113,8 +87,7 @@ impl PersistentCounters {
 /// plus the three content keys every lookup and store derives from —
 /// the structural hash of the *input* kernel, the target fingerprint, and
 /// the search fingerprint over the candidate configuration list (nothing
-/// else — deliberately fault-plan-free, so chaos and clean runs share
-/// entries).
+/// else, so searches at any worker count share entries).
 ///
 /// All cache traffic happens on the driver thread, outside the worker
 /// pool: lookups before evaluation, stores after. Workers never touch the
@@ -241,7 +214,6 @@ impl<'a> PersistentCx<'a> {
                 seconds: Some(seconds),
                 pruned: None,
                 cache_hit: true,
-                noisy: false,
             }],
             stats: TuneStats {
                 measured: 1,
@@ -279,50 +251,6 @@ impl<'a> PersistentCx<'a> {
                 )
             })
             .collect()
-    }
-
-    /// Group evaluation order, warm-started from winners recorded for the
-    /// same input kernel on *other* targets (the paper's "A Few Fit Most"
-    /// transfer): hinted groups are evaluated first. Pure prioritization —
-    /// the winner selection in `finalize` is evaluation-order-independent,
-    /// so reordering cannot change any result.
-    fn warm_order(
-        &self,
-        configs: &[CoarsenConfig],
-        plan: &GroupPlan,
-        trace: &Trace,
-        counters: &mut PersistentCounters,
-    ) -> Vec<usize> {
-        let mut first: Vec<usize> = Vec::new();
-        for hint in
-            self.cache
-                .cross_target_winners(self.target_kind, self.input_hash, self.target_fp)
-        {
-            let Some(ci) = configs.iter().position(|c| *c == hint.config) else {
-                continue;
-            };
-            let Some(&gi) = plan.group_of.get(&ci) else {
-                continue;
-            };
-            if !first.contains(&gi) {
-                first.push(gi);
-                counters.warm_starts += 1;
-                trace.instant(
-                    "cache",
-                    "warm_start",
-                    &[
-                        ("config".into(), hint.config.to_string().into()),
-                        (
-                            "source_target".into(),
-                            format!("{:016x}", hint.target).into(),
-                        ),
-                    ],
-                );
-            }
-        }
-        let mut order = first.clone();
-        order.extend((0..plan.groups.len()).filter(|gi| !first.contains(gi)));
-        order
     }
 
     /// Persists the backend reports of groups that compiled fresh this
@@ -402,7 +330,6 @@ impl<'a> PersistentCx<'a> {
     fn emit_counters(&self, trace: &Trace, c: &PersistentCounters) {
         trace.counter("cache", "persistent_hits", c.hits);
         trace.counter("cache", "persistent_misses", c.misses);
-        trace.counter("cache", "warm_starts", c.warm_starts);
         trace.counter("cache", "invalidations", c.invalidations);
     }
 }
@@ -640,9 +567,6 @@ pub(crate) struct Group {
     /// Lowest candidate index in the group; its prepared version stands in
     /// for every member.
     rep: usize,
-    /// Every member's candidate index, ascending — the re-election order
-    /// when evaluation of earlier members is abandoned.
-    members: Vec<usize>,
     /// Whether any member is the identity configuration (identity is exempt
     /// from spill pruning so a baseline always gets measured).
     has_identity: bool,
@@ -664,12 +588,10 @@ pub(crate) fn plan_groups(configs: &[CoarsenConfig], preps: &[Prep]) -> GroupPla
             let gi = *by_hash.entry(p.ir_hash).or_insert_with(|| {
                 groups.push(Group {
                     rep: i,
-                    members: Vec::new(),
                     has_identity: false,
                 });
                 groups.len() - 1
             });
-            groups[gi].members.push(i);
             groups[gi].has_identity |= configs[i].is_identity();
             group_of.insert(i, gi);
         }
@@ -677,323 +599,88 @@ pub(crate) fn plan_groups(configs: &[CoarsenConfig], preps: &[Prep]) -> GroupPla
     GroupPlan { groups, group_of }
 }
 
-/// A member whose evaluation was abandoned (retry budget or deadline
-/// exhausted) with the reason it will be demoted to.
-pub(crate) struct MemberFailure {
-    member: usize,
-    reason: PruneReason,
-}
-
-/// Fault/retry accounting for one group's evaluation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct FaultTally {
-    /// Faults injected (hard + noise).
-    injected: usize,
-    /// Re-attempts performed.
-    retries: usize,
-    /// Injected hard faults in chains that eventually succeeded.
-    recovered: usize,
-    /// Injected hard faults in chains that were abandoned.
-    abandoned: usize,
-    /// Injected noisy-timing faults.
-    noise: usize,
-    /// Measurement-runner invocations actually performed.
-    runner_invocations: usize,
-}
-
 /// Wall-clock spent inside the two expensive evaluation steps of one
-/// group, summed over every attempt of every member. Pure diagnostics —
-/// these feed [`PhaseTimings`], never a decision.
+/// group. Pure diagnostics — these feed [`PhaseTimings`], never a decision.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PhaseAcc {
     /// Seconds inside backend compilation.
     compile: f64,
-    /// Seconds inside measurement runners (including panicking runs).
+    /// Seconds inside the measurement runner (including a panicking run).
     measure: f64,
 }
 
 /// Phase-2 outcome for one group: backend feedback, the shared measurement
-/// (when some member produced one), the member that produced it, the
-/// members lost along the way, and the fault/retry tally.
+/// or the failure that pruned every member.
 #[derive(Default)]
 pub(crate) struct GroupEval {
     /// Backend feedback shared by every member (byte-identical IR): compiled
-    /// this run or preloaded from the persistent cache; `None` when no
-    /// member's compile succeeded.
+    /// this run or preloaded from the persistent cache; `None` when the
+    /// compile failed.
     report: Option<StoredReport>,
     /// The shared measurement in seconds; `None` when the group was
-    /// spill-pruned or every member was abandoned. Non-finite values are
-    /// demoted in `finalize`.
+    /// spill-pruned or failed. Non-finite values are demoted in `finalize`.
     measured: Option<f64>,
-    /// Whether `measured` was perturbed by an injected `NoisyTiming`.
-    noisy: bool,
-    /// The member whose evaluation concluded the group (measurement or
-    /// spill verdict); `None` when every member was abandoned.
-    elected: Option<usize>,
-    /// Members abandoned before `elected` (or all members, when none won).
-    failures: Vec<MemberFailure>,
-    tally: FaultTally,
+    /// Why the group's evaluation failed; every member is pruned with it.
+    failure: Option<PruneReason>,
+    /// Measurement-runner invocations performed (0 or 1).
+    runner_calls: usize,
     /// Compile/measure wall-clock spent evaluating this group.
     phase: PhaseAcc,
 }
 
-/// Outcome of one evaluation attempt for one member.
-enum AttemptOutcome {
-    /// Compiled, but the group is spill-ineligible for measurement:
-    /// terminal, successful, no timing.
-    SpillPruned,
-    /// A measurement was produced.
-    Measured { seconds: f64, noisy: bool },
-    /// The attempt failed; `injected` separates injected faults (which
-    /// re-roll on retry) from real failures.
-    Failed { reason: PruneReason, injected: bool },
-}
-
-fn record_fault(trace: &Trace, site: FaultSite, kind: &FaultKind, member: usize, attempt: u32) {
-    trace.instant(
-        "tune",
-        "fault",
-        &[
-            ("site".into(), site.to_string().into()),
-            ("kind".into(), kind.label().into()),
-            ("candidate".into(), member.into()),
-            ("attempt".into(), attempt.into()),
-        ],
-    );
-}
-
-/// One compile(+measure) attempt for `member`. Compilation is performed at
-/// most once per member chain (`compiled` caches it across retries, like a
-/// real build cache would).
-#[allow(clippy::too_many_arguments)]
-fn attempt_once(
-    member: usize,
-    attempt: u32,
+/// Decision point 3: backend-compiles every launch of the version and keeps
+/// the report of the launch that governs the spill decision.
+fn compile(
     p: &PreparedVersion,
-    has_identity: bool,
     target: &dyn TargetModel,
-    res: &Resilience,
     trace: &Trace,
-    run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    compiled: &mut Option<StoredReport>,
-    tally: &mut FaultTally,
-    clock: &mut f64,
     phase: &mut PhaseAcc,
-) -> AttemptOutcome {
-    let key = member as u64;
-    if compiled.is_none() {
-        if let Some(f) = res.plan.decide(FaultSite::Compile, key, attempt) {
-            tally.injected += 1;
-            record_fault(trace, f.site, &f.kind, member, attempt);
-            return AttemptOutcome::Failed {
-                reason: PruneReason::CompileFailed(f.to_string()),
-                injected: true,
-            };
-        }
-        let compile_started = Instant::now();
-        let mut worst_regs = 0u32;
-        let mut spill_units = 0u32;
-        let mut governing: Option<(u32, u32, BackendReport)> = None;
-        let mut span = trace.span("tune", "backend");
-        for l in &p.launches {
-            let r = match try_compile_launch(&p.version, l, target.max_regs_per_thread()) {
-                Ok(r) => r,
-                Err(e) => {
-                    phase.compile += compile_started.elapsed().as_secs_f64();
-                    return AttemptOutcome::Failed {
-                        reason: PruneReason::CompileFailed(e.message),
-                        injected: false,
-                    };
-                }
-            };
-            let demand = r.regs_per_thread + r.spill_units;
-            let gkey = (r.spill_units, demand);
-            if governing.as_ref().is_none_or(|(s, d, _)| gkey > (*s, *d)) {
-                governing = Some((r.spill_units, demand, r.clone()));
+) -> Result<StoredReport, PruneReason> {
+    let compile_started = Instant::now();
+    let mut worst_regs = 0u32;
+    let mut spill_units = 0u32;
+    let mut governing: Option<(u32, u32, BackendReport)> = None;
+    let mut span = trace.span("tune", "backend");
+    for l in &p.launches {
+        let r = match try_compile_launch(&p.version, l, target.max_regs_per_thread()) {
+            Ok(r) => r,
+            Err(e) => {
+                phase.compile += compile_started.elapsed().as_secs_f64();
+                return Err(PruneReason::CompileFailed(e.message));
             }
-            worst_regs = worst_regs.max(demand);
-            spill_units = spill_units.max(r.spill_units);
-        }
-        span.record("launches", p.launches.len());
-        span.record("reg_demand", worst_regs);
-        span.record("spill_units", spill_units);
-        phase.compile += compile_started.elapsed().as_secs_f64();
-        *compiled = Some(StoredReport {
-            // The launch that governed the spill decision: highest spill
-            // count, then highest register demand.
-            backend: governing
-                .map(|(_, _, r)| r)
-                .expect("kernels have at least one launch"),
-            worst_regs,
-            spill_units,
-            launch_regs: worst_regs.min(target.max_regs_per_thread()),
-        });
-    }
-    let info = compiled.as_ref().expect("compiled just above");
-    // A group is measured iff at least one member survives spill pruning:
-    // spill-free versions always do, spilling versions only when the group
-    // contains the identity configuration.
-    if info.spill_units > 0 && !has_identity {
-        return AttemptOutcome::SpillPruned;
-    }
-    if let Some(f) = res.plan.decide(FaultSite::Launch, key, attempt) {
-        tally.injected += 1;
-        record_fault(trace, f.site, &f.kind, member, attempt);
-        return AttemptOutcome::Failed {
-            reason: PruneReason::RunFailed(f.to_string()),
-            injected: true,
         };
+        let demand = r.regs_per_thread + r.spill_units;
+        let gkey = (r.spill_units, demand);
+        if governing.as_ref().is_none_or(|(s, d, _)| gkey > (*s, *d)) {
+            governing = Some((r.spill_units, demand, r.clone()));
+        }
+        worst_regs = worst_regs.max(demand);
+        spill_units = spill_units.max(r.spill_units);
     }
-    tally.runner_invocations += 1;
-    let mut span = trace.span("tune", "measure");
-    let measure_started = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| run(&p.version, info.launch_regs)));
-    phase.measure += measure_started.elapsed().as_secs_f64();
-    let seconds = match outcome {
-        Err(payload) => {
-            return AttemptOutcome::Failed {
-                reason: PruneReason::RunFailed(format!(
-                    "runner panicked: {}",
-                    panic_message(payload)
-                )),
-                injected: false,
-            }
-        }
-        Ok(Err(e)) => {
-            return AttemptOutcome::Failed {
-                reason: PruneReason::RunFailed(e.message),
-                injected: false,
-            }
-        }
-        Ok(Ok(s)) => s,
-    };
-    if seconds.is_finite() && seconds > 0.0 {
-        *clock += seconds;
-    }
-    match res.plan.decide(FaultSite::Timing, key, attempt) {
-        Some(f) => {
-            tally.injected += 1;
-            record_fault(trace, f.site, &f.kind, member, attempt);
-            match f.kind {
-                FaultKind::NoisyTiming { factor } => {
-                    tally.noise += 1;
-                    let noisy_seconds = seconds * factor;
-                    span.record("seconds", noisy_seconds);
-                    span.record("noisy", true);
-                    AttemptOutcome::Measured {
-                        seconds: noisy_seconds,
-                        noisy: true,
-                    }
-                }
-                _ => AttemptOutcome::Failed {
-                    reason: PruneReason::TimedOut(f.to_string()),
-                    injected: true,
-                },
-            }
-        }
-        None => {
-            span.record("seconds", seconds);
-            AttemptOutcome::Measured {
-                seconds,
-                noisy: false,
-            }
-        }
-    }
+    span.record("launches", p.launches.len());
+    span.record("reg_demand", worst_regs);
+    span.record("spill_units", spill_units);
+    phase.compile += compile_started.elapsed().as_secs_f64();
+    Ok(StoredReport {
+        // The launch that governed the spill decision: highest spill
+        // count, then highest register demand.
+        backend: governing
+            .map(|(_, _, r)| r)
+            .expect("kernels have at least one launch"),
+        worst_regs,
+        spill_units,
+        launch_regs: worst_regs.min(target.max_regs_per_thread()),
+    })
 }
 
-/// Result of one member's full retry chain.
-enum MemberOutcome {
-    /// The member concluded the group (measurement or spill verdict).
-    Done { measured: Option<f64>, noisy: bool },
-    /// The member was abandoned; the group re-elects the next member.
-    Abandoned { reason: PruneReason },
-}
-
-/// Evaluates one member under the retry policy's virtual clock: backoff
-/// (`backoff_base * 2^(k-1)`) accrues before retry `k`, measured run cost
-/// accrues after every run, and the chain is abandoned once the clock
-/// reaches the deadline or the retry budget is spent.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_member(
-    member: usize,
-    p: &PreparedVersion,
-    has_identity: bool,
-    target: &dyn TargetModel,
-    res: &Resilience,
-    trace: &Trace,
-    run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
-    compiled: &mut Option<StoredReport>,
-    tally: &mut FaultTally,
-    phase: &mut PhaseAcc,
-) -> MemberOutcome {
-    let mut clock = 0.0f64;
-    let mut chain_faults = 0usize;
-    let mut attempt = 0u32;
-    loop {
-        if attempt > 0 {
-            tally.retries += 1;
-            clock += res.retry.backoff_base * f64::powi(2.0, attempt as i32 - 1);
-        }
-        if clock >= res.retry.deadline {
-            tally.abandoned += chain_faults;
-            return MemberOutcome::Abandoned {
-                reason: PruneReason::TimedOut(format!(
-                    "virtual deadline {}s exceeded after {} attempt(s)",
-                    res.retry.deadline, attempt
-                )),
-            };
-        }
-        match attempt_once(
-            member,
-            attempt,
-            p,
-            has_identity,
-            target,
-            res,
-            trace,
-            run,
-            compiled,
-            tally,
-            &mut clock,
-            phase,
-        ) {
-            AttemptOutcome::SpillPruned => {
-                tally.recovered += chain_faults;
-                return MemberOutcome::Done {
-                    measured: None,
-                    noisy: false,
-                };
-            }
-            AttemptOutcome::Measured { seconds, noisy } => {
-                tally.recovered += chain_faults;
-                return MemberOutcome::Done {
-                    measured: Some(seconds),
-                    noisy,
-                };
-            }
-            AttemptOutcome::Failed { reason, injected } => {
-                if injected {
-                    chain_faults += 1;
-                }
-                attempt += 1;
-                if attempt > res.retry.max_retries {
-                    tally.abandoned += chain_faults;
-                    return MemberOutcome::Abandoned { reason };
-                }
-            }
-        }
-    }
-}
-
-/// Runs decision points 3–4 for one group, walking members in candidate
-/// order: the first member whose chain concludes (measurement or spill
-/// verdict) is *elected* and its result stands in for the group; abandoned
-/// members are recorded as failures and demoted individually.
+/// Runs decision points 3–4 once for one group, on its representative: a
+/// report preloaded from the persistent cache skips the compile, and the
+/// measurement runs only when some member survives spill pruning. A failed
+/// compile, runner error or runner panic becomes the group's `failure`.
 pub(crate) fn evaluate_group(
     group: &Group,
     preps: &[Prep],
     target: &dyn TargetModel,
-    res: &Resilience,
     trace: &Trace,
     run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
     preloaded: Option<StoredReport>,
@@ -1002,71 +689,67 @@ pub(crate) fn evaluate_group(
         Prep::Ready(p) => p,
         Prep::Pruned { .. } => unreachable!("groups are formed from survivors only"),
     };
-    // `report` is the compile cache and spans the whole group: members share
-    // byte-identical IR, so once any member's compile succeeded the result
-    // is reused by retries *and* re-elected members. A report preloaded from
-    // the persistent cache seeds it, and the group then never compiles at
-    // all.
-    let mut eval = GroupEval {
-        report: preloaded,
-        ..GroupEval::default()
+    let mut eval = GroupEval::default();
+    let report = match preloaded {
+        Some(r) => r,
+        None => match compile(p, target, trace, &mut eval.phase) {
+            Ok(r) => r,
+            Err(reason) => {
+                eval.failure = Some(reason);
+                return eval;
+            }
+        },
     };
-    for &m in &group.members {
-        let outcome = evaluate_member(
-            m,
-            p,
-            group.has_identity,
-            target,
-            res,
-            trace,
-            run,
-            &mut eval.report,
-            &mut eval.tally,
-            &mut eval.phase,
-        );
-        match outcome {
-            MemberOutcome::Done { measured, noisy } => {
-                eval.measured = measured;
-                eval.noisy = noisy;
-                eval.elected = Some(m);
-                break;
-            }
-            MemberOutcome::Abandoned { reason } => {
-                eval.failures.push(MemberFailure { member: m, reason });
-            }
+    // A group is measured iff at least one member survives spill pruning:
+    // spill-free versions always do, spilling versions only when the group
+    // contains the identity configuration.
+    let measure = report.spill_units == 0 || group.has_identity;
+    let launch_regs = report.launch_regs;
+    eval.report = Some(report);
+    if !measure {
+        return eval;
+    }
+    eval.runner_calls = 1;
+    let mut span = trace.span("tune", "measure");
+    let measure_started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| run(&p.version, launch_regs)));
+    eval.phase.measure += measure_started.elapsed().as_secs_f64();
+    match outcome {
+        Ok(Ok(seconds)) => {
+            span.record("seconds", seconds);
+            eval.measured = Some(seconds);
+        }
+        Ok(Err(e)) => eval.failure = Some(PruneReason::RunFailed(e.message)),
+        Err(payload) => {
+            eval.failure = Some(PruneReason::RunFailed(format!(
+                "runner panicked: {}",
+                panic_message(payload)
+            )))
         }
     }
     eval
 }
 
 /// [`evaluate_group`] with a final panic net: a panic outside the runner
-/// (an engine bug or a pathological trace sink) demotes the whole group
+/// (an engine bug or a pathological trace sink) fails the whole group
 /// instead of killing the tune.
 pub(crate) fn evaluate_group_caught(
     group: &Group,
     preps: &[Prep],
     target: &dyn TargetModel,
-    res: &Resilience,
     trace: &Trace,
     run: &mut impl FnMut(&Function, u32) -> Result<f64, SimError>,
     preloaded: Option<StoredReport>,
 ) -> GroupEval {
     catch_unwind(AssertUnwindSafe(|| {
-        evaluate_group(group, preps, target, res, trace, run, preloaded)
+        evaluate_group(group, preps, target, trace, run, preloaded)
     }))
-    .unwrap_or_else(|payload| {
-        let msg = format!("evaluation panicked: {}", panic_message(payload));
-        GroupEval {
-            failures: group
-                .members
-                .iter()
-                .map(|&m| MemberFailure {
-                    member: m,
-                    reason: PruneReason::RunFailed(msg.clone()),
-                })
-                .collect(),
-            ..GroupEval::default()
-        }
+    .unwrap_or_else(|payload| GroupEval {
+        failure: Some(PruneReason::RunFailed(format!(
+            "evaluation panicked: {}",
+            panic_message(payload)
+        ))),
+        ..GroupEval::default()
     })
 }
 
@@ -1097,7 +780,6 @@ pub(crate) fn finalize(
             seconds: None,
             pruned: None,
             cache_hit: false,
-            noisy: false,
         };
         let mut launch_regs = None;
         match prep {
@@ -1114,12 +796,12 @@ pub(crate) fn finalize(
                 let eval = &evals[gi];
                 let report = eval.report.as_ref();
                 candidate.backend = report.map(|r| r.backend.clone());
-                if let Some(failure) = eval.failures.iter().find(|f| f.member == i) {
-                    // This member did its own (failed) evaluation work: it
-                    // is demoted individually and shares nothing.
-                    candidate.pruned = Some(failure.reason.clone());
+                if let Some(reason) = &eval.failure {
+                    // Members share byte-identical IR, so the
+                    // representative's failure is every member's.
+                    candidate.pruned = Some(reason.clone());
                 } else {
-                    candidate.cache_hit = eval.elected.is_some() && eval.elected != Some(i);
+                    candidate.cache_hit = i != plan.groups[gi].rep;
                     let spilling = report.filter(|r| r.spill_units > 0 && !config.is_identity());
                     if let Some(r) = spilling {
                         candidate.pruned = Some(PruneReason::Spill {
@@ -1130,7 +812,6 @@ pub(crate) fn finalize(
                         launch_regs = Some(r.launch_regs);
                         if seconds.is_finite() {
                             candidate.seconds = Some(seconds);
-                            candidate.noisy = eval.noisy;
                             // Strictly-smaller wins; ties keep the earliest
                             // candidate, so selection is order-independent.
                             if best.is_none_or(|(_, t, _)| seconds < t) {
@@ -1143,15 +824,6 @@ pub(crate) fn finalize(
                                 "non-finite measured time ({seconds})"
                             )));
                         }
-                    } else if eval.elected.is_none() {
-                        // Every evaluated member was abandoned and this one
-                        // never got a turn (it would have, had re-election
-                        // continued — it is in `failures` otherwise). Only
-                        // possible when `failures` covers all members, so
-                        // this arm is defensive.
-                        candidate.pruned = Some(PruneReason::RunFailed(
-                            "every group member was abandoned".into(),
-                        ));
                     }
                 }
             }
@@ -1171,27 +843,13 @@ pub(crate) fn finalize(
         .iter()
         .filter(|c| matches!(c.pruned, Some(PruneReason::StaticallyUnsafe { .. })))
         .count();
-    let tally = evals.iter().fold(FaultTally::default(), |mut acc, e| {
-        acc.injected += e.tally.injected;
-        acc.retries += e.tally.retries;
-        acc.recovered += e.tally.recovered;
-        acc.abandoned += e.tally.abandoned;
-        acc.noise += e.tally.noise;
-        acc.runner_invocations += e.tally.runner_invocations;
-        acc
-    });
     let stats = TuneStats {
         cache_hits,
         cache_misses: plan.groups.len(),
-        runner_calls: tally.runner_invocations,
+        runner_calls: evals.iter().map(|e| e.runner_calls).sum(),
         measured,
         pruned,
         statically_rejected,
-        faults_injected: tally.injected,
-        retries: tally.retries,
-        recovered: tally.recovered,
-        abandoned: tally.abandoned,
-        noise_faults: tally.noise,
         parallelism,
         // Persistent-cache traffic is accounted by the driver, which owns
         // the counters; a cache-less search reports zeros.
@@ -1200,13 +858,6 @@ pub(crate) fn finalize(
     trace.counter("tune", "cache_hits", cache_hits);
     trace.counter("tune", "cache_misses", plan.groups.len());
     trace.counter("tune", "statically_rejected", statically_rejected);
-    if stats.faults_injected > 0 {
-        trace.counter("tune", "faults_injected", stats.faults_injected);
-        trace.counter("tune", "fault_retries", stats.retries);
-        trace.counter("tune", "faults_recovered", stats.recovered);
-        trace.counter("tune", "faults_abandoned", stats.abandoned);
-        trace.counter("tune", "noise_faults", stats.noise_faults);
-    }
 
     match best {
         Some((wi, best_seconds, best_regs)) => {
@@ -1233,11 +884,6 @@ pub(crate) fn finalize(
             tune_span.record("cache_hits", cache_hits);
             tune_span.record("unique_versions", plan.groups.len());
             tune_span.record("parallelism", parallelism);
-            if stats.faults_injected > 0 {
-                tune_span.record("faults_injected", stats.faults_injected);
-                tune_span.record("faults_recovered", stats.recovered);
-                tune_span.record("faults_abandoned", stats.abandoned);
-            }
             Ok(TuneResult {
                 best: best_func,
                 best_config,
@@ -1250,24 +896,10 @@ pub(crate) fn finalize(
         }
         None => {
             tune_span.record("winner", "none");
-            if stats.faults_injected > 0 {
-                Err(TuneError {
-                    message: format!(
-                        "no candidate configuration survived pruning and measurement \
-                         ({} fault(s) injected, {} abandoned)",
-                        stats.faults_injected, stats.abandoned
-                    ),
-                    kind: TuneErrorKind::AllFaulted {
-                        faults_injected: stats.faults_injected,
-                        abandoned: stats.abandoned,
-                    },
-                })
-            } else {
-                Err(TuneError {
-                    message: "no candidate configuration survived pruning and measurement".into(),
-                    kind: TuneErrorKind::NoSurvivors,
-                })
-            }
+            Err(TuneError {
+                message: "no candidate configuration survived pruning and measurement".into(),
+                kind: TuneErrorKind::NoSurvivors,
+            })
         }
     }
 }
@@ -1301,8 +933,8 @@ fn phase_timings(
     }
 }
 
-/// The driver: replay → dedup → prepare → plan → preload → order → evaluate
-/// → store → finalize, on up to `workers` threads with one runner per
+/// The driver: replay → dedup → prepare → plan → preload → evaluate → store
+/// → finalize, on up to `workers` threads with one runner per
 /// worker built lazily from `make_runner` (at `workers == 1` the pool runs
 /// inline on the calling thread and builds one). All persistent-cache
 /// traffic stays on the driver thread; workers only receive an
@@ -1315,7 +947,6 @@ pub(crate) fn tune<R, F>(
     workers: usize,
     make_runner: &F,
     trace: &Trace,
-    res: &Resilience,
     cache: Option<&TuningCache>,
 ) -> Result<TuneResult, TuneError>
 where
@@ -1355,31 +986,17 @@ where
         None => plan.groups.iter().map(|_| None).collect(),
     };
     let was_preloaded: Vec<bool> = preloaded.iter().map(Option::is_some).collect();
-    let order: Vec<usize> = match &cx {
-        Some(cx) => cx.warm_order(configs, &plan, trace, &mut counters),
-        None => (0..plan.groups.len()).collect(),
-    };
-    let by_slot: Vec<GroupEval> =
-        crate::pool::parallel_map_with(order.len(), workers, make_runner, |run, slot| {
-            let gi = order[slot];
+    let evals: Vec<GroupEval> =
+        parallel_map_with(plan.groups.len(), workers, make_runner, |run, gi| {
             evaluate_group_caught(
                 &plan.groups[gi],
                 &preps,
                 target,
-                res,
                 trace,
                 run,
                 preloaded[gi].clone(),
             )
         });
-    let mut slots: Vec<Option<GroupEval>> = plan.groups.iter().map(|_| None).collect();
-    for (slot, eval) in by_slot.into_iter().enumerate() {
-        slots[order[slot]] = Some(eval);
-    }
-    let evals: Vec<GroupEval> = slots
-        .into_iter()
-        .map(|e| e.expect("every group is evaluated exactly once"))
-        .collect();
     if let Some(cx) = &cx {
         cx.store_fresh_reports(&plan, &preps, &evals, &was_preloaded, trace);
     }
@@ -1410,14 +1027,13 @@ const _: () = {
     assert_send_sync::<Launch>();
     assert_send_sync::<Trace>();
     assert_send_sync::<Baseline>();
-    assert_send_sync::<FaultPlan>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use respec_ir::parse_function;
-    use respec_sim::{targets, FaultSpec};
+    use respec_sim::targets;
     use respec_trace::MetricValue;
 
     /// Staged exchange through shared memory: store, barrier, mirrored
@@ -1556,14 +1172,10 @@ mod tests {
         ];
         let plan = plan_groups(&configs, &preps);
         let mut run = |_: &Function, _: u32| Ok(1e-3);
-        let res = Resilience {
-            plan: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
-        };
         let evals: Vec<GroupEval> = plan
             .groups
             .iter()
-            .map(|g| evaluate_group(g, &preps, &target, &res, &trace, &mut run, None))
+            .map(|g| evaluate_group(g, &preps, &target, &trace, &mut run, None))
             .collect();
         let result = finalize("safe", &configs, preps, plan, evals, 1, &trace).unwrap();
         assert_eq!(result.stats.statically_rejected, 1);
@@ -1629,229 +1241,85 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn one_group_plan(func: &Function) -> (Vec<CoarsenConfig>, Vec<Prep>, GroupPlan) {
+    /// A real failure is deterministic, so it costs its group exactly one
+    /// runner call — by `Err` or by panic, at any worker count — prunes
+    /// every member with the same reason, and leaves the winner of a clean
+    /// search over the other groups, bit for bit.
+    #[test]
+    fn a_failed_group_costs_one_runner_call() {
+        use crate::{candidate_configs, tune_kernel_pooled, Strategy, TuneOptions};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let func = parse_function(SAFE).unwrap();
         let target = targets::a100();
-        let configs = vec![
-            CoarsenConfig::identity(),
-            CoarsenConfig::identity(),
-            CoarsenConfig::identity(),
-        ];
-        let baseline = OnceLock::new();
-        let preps: Vec<Prep> = configs
-            .iter()
-            .map(|&c| prepare(func, c, &target, &baseline, &Trace::disabled()))
+        // Every configuration twice: each group has at least two members.
+        let mut configs = candidate_configs(Strategy::Combined, &[1, 2, 4], &[8, 1, 1]);
+        configs.extend(configs.clone());
+        let timed = |version: &Function, regs: u32| -> Result<f64, SimError> {
+            let h = structural_hash(version);
+            Ok(((h % 9973) + 1) as f64 * 1e-7 + f64::from(regs) * 1e-9)
+        };
+        let tune = |configs: &[CoarsenConfig], workers: usize, poison: Option<(u64, bool)>| {
+            let poisoned_calls = AtomicUsize::new(0);
+            let calls = &poisoned_calls;
+            let result = tune_kernel_pooled(
+                &func,
+                &target,
+                configs,
+                &TuneOptions::with_parallelism(workers),
+                || {
+                    move |version: &Function, regs: u32| match poison {
+                        Some((hash, panics)) if structural_hash(version) == hash => {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            if panics {
+                                panic!("deliberate failure");
+                            }
+                            Err(SimError {
+                                message: "deliberate failure".into(),
+                            })
+                        }
+                        _ => timed(version, regs),
+                    }
+                },
+                &Trace::disabled(),
+            )
+            .expect("a search with survivors succeeds");
+            (result, poisoned_calls.load(Ordering::SeqCst))
+        };
+
+        let (clean, _) = tune(&configs, 1, None);
+        let poison = structural_hash(&clean.best);
+        let members: Vec<usize> = (0..configs.len())
+            .filter(|&i| {
+                clean.candidates[i].seconds.map(f64::to_bits) == Some(clean.best_seconds.to_bits())
+            })
             .collect();
-        let plan = plan_groups(&configs, &preps);
-        (configs, preps, plan)
-    }
+        assert!(members.len() >= 2, "the failing group has several members");
+        let rest: Vec<CoarsenConfig> = (0..configs.len())
+            .filter(|i| !members.contains(i))
+            .map(|i| configs[i])
+            .collect();
+        let (without, _) = tune(&rest, 1, None);
 
-    #[test]
-    fn transient_launch_fault_recovers_by_retry() {
-        let func = parse_function(SAFE).unwrap();
-        let target = targets::a100();
-        let (_configs, preps, plan) = one_group_plan(&func);
-        // Find a seed where member 0 faults the launch on attempt 0 but not
-        // on attempt 1: the retry must recover it.
-        let spec = FaultSpec {
-            launch_rate: 0.5,
-            ..FaultSpec::none()
-        };
-        let seed = (0..2000u64)
-            .find(|&s| {
-                let p = FaultPlan::new(s, spec);
-                p.decide(FaultSite::Launch, 0, 0).is_some()
-                    && p.decide(FaultSite::Launch, 0, 1).is_none()
-            })
-            .expect("such a seed exists");
-        let res = Resilience {
-            plan: FaultPlan::new(seed, spec),
-            retry: RetryPolicy::default(),
-        };
-        let mut run = |_: &Function, _: u32| Ok(1e-3);
-        let eval = evaluate_group(
-            &plan.groups[0],
-            &preps,
-            &target,
-            &res,
-            &Trace::disabled(),
-            &mut run,
-            None,
-        );
-        assert_eq!(eval.elected, Some(0), "retry must keep the representative");
-        assert_eq!(eval.measured, Some(1e-3));
-        assert!(eval.failures.is_empty());
-        assert_eq!(eval.tally.injected, 1);
-        assert_eq!(eval.tally.recovered, 1);
-        assert_eq!(eval.tally.abandoned, 0);
-        assert!(eval.tally.retries >= 1);
-    }
-
-    #[test]
-    fn abandoned_representative_re_elects_next_member() {
-        let func = parse_function(SAFE).unwrap();
-        let target = targets::a100();
-        let (_configs, preps, plan) = one_group_plan(&func);
-        // Launch faults always fire for member 0 (every attempt) but we
-        // need member 1 to survive. Key-dependent decisions give us that:
-        // find a seed where member 0 faults on attempts 0..=2 and member 1
-        // is clean on its attempt 0.
-        let spec = FaultSpec {
-            launch_rate: 0.5,
-            ..FaultSpec::none()
-        };
-        let seed = (0..20000u64)
-            .find(|&s| {
-                let p = FaultPlan::new(s, spec);
-                (0..3).all(|a| p.decide(FaultSite::Launch, 0, a).is_some())
-                    && p.decide(FaultSite::Launch, 1, 0).is_none()
-            })
-            .expect("such a seed exists");
-        let res = Resilience {
-            plan: FaultPlan::new(seed, spec),
-            retry: RetryPolicy::default(),
-        };
-        let mut run = |_: &Function, _: u32| Ok(2e-3);
-        let eval = evaluate_group(
-            &plan.groups[0],
-            &preps,
-            &target,
-            &res,
-            &Trace::disabled(),
-            &mut run,
-            None,
-        );
-        assert_eq!(eval.elected, Some(1), "member 1 must be re-elected");
-        assert_eq!(eval.measured, Some(2e-3));
-        assert_eq!(eval.failures.len(), 1);
-        assert_eq!(eval.failures[0].member, 0);
-        assert!(matches!(eval.failures[0].reason, PruneReason::RunFailed(_)));
-        assert_eq!(eval.tally.abandoned, 3, "three abandoned injected faults");
-        assert_eq!(eval.tally.recovered, 0);
-    }
-
-    #[test]
-    fn virtual_deadline_bounds_the_retry_chain() {
-        let func = parse_function(SAFE).unwrap();
-        let target = targets::a100();
-        let (_configs, preps, plan) = one_group_plan(&func);
-        // Every launch faults; a deadline smaller than the first backoff
-        // abandons after exactly one attempt per member.
-        let res = Resilience {
-            plan: FaultPlan::new(
-                3,
-                FaultSpec {
-                    launch_rate: 1.0,
-                    ..FaultSpec::none()
-                },
-            ),
-            retry: RetryPolicy::default()
-                .with_max_retries(10)
-                .with_deadline(1e-6),
-        };
-        let mut calls = 0usize;
-        let mut run = |_: &Function, _: u32| {
-            calls += 1;
-            Ok(1e-3)
-        };
-        let eval = evaluate_group(
-            &plan.groups[0],
-            &preps,
-            &target,
-            &res,
-            &Trace::disabled(),
-            &mut run,
-            None,
-        );
-        assert_eq!(calls, 0, "every launch trapped before the runner");
-        assert_eq!(eval.elected, None);
-        assert_eq!(eval.failures.len(), 3, "every member abandoned");
-        assert!(eval
-            .failures
-            .iter()
-            .all(|f| matches!(f.reason, PruneReason::TimedOut(_))));
-        // One injected fault per member before its deadline cut in.
-        assert_eq!(eval.tally.injected, 3);
-        assert_eq!(eval.tally.abandoned, 3);
-    }
-
-    #[test]
-    fn compile_cache_spans_retries_and_reelection() {
-        // With launch faults only, the group compiles exactly once no
-        // matter how many attempts and re-elections happen.
-        let func = parse_function(SAFE).unwrap();
-        let target = targets::a100();
-        let (_configs, preps, plan) = one_group_plan(&func);
-        let res = Resilience {
-            plan: FaultPlan::new(
-                9,
-                FaultSpec {
-                    launch_rate: 1.0,
-                    ..FaultSpec::none()
-                },
-            ),
-            retry: RetryPolicy::default(),
-        };
-        let trace = Trace::new();
-        let mut run = |_: &Function, _: u32| Ok(1e-3);
-        let eval = evaluate_group(
-            &plan.groups[0],
-            &preps,
-            &target,
-            &res,
-            &trace,
-            &mut run,
-            None,
-        );
-        assert_eq!(eval.elected, None);
-        assert!(eval.report.is_some(), "compile result survives the losses");
-        let backends = trace
-            .events()
-            .iter()
-            .filter(|e| e.name == "backend")
-            .count();
-        assert_eq!(backends, 1, "one compile for the whole group");
-        // 3 members × 3 attempts, all injected, all abandoned.
-        assert_eq!(eval.tally.injected, 9);
-        assert_eq!(eval.tally.abandoned, 9);
-        assert_eq!(eval.tally.recovered, 0);
-        assert_eq!(eval.tally.runner_invocations, 0);
-    }
-
-    #[test]
-    fn noisy_timing_fault_slows_but_keeps_the_candidate() {
-        // Noise is not a hard fault: with a 100% noise rate the first
-        // member still measures (slower, flagged) with no retry and no
-        // loss, and the ledger books it as injected-but-not-recoverable.
-        let func = parse_function(SAFE).unwrap();
-        let target = targets::a100();
-        let (_configs, preps, plan) = one_group_plan(&func);
-        let res = Resilience {
-            plan: FaultPlan::new(5, FaultSpec::none().with_noise(1.0)),
-            retry: RetryPolicy::default(),
-        };
-        let mut run = |_: &Function, _: u32| Ok(1e-3);
-        let eval = evaluate_group(
-            &plan.groups[0],
-            &preps,
-            &target,
-            &res,
-            &Trace::disabled(),
-            &mut run,
-            None,
-        );
-        assert_eq!(eval.elected, Some(0));
-        assert!(eval.noisy, "measurement must be flagged as noisy");
-        let seconds = eval.measured.expect("noisy candidate still measures");
-        assert!(
-            seconds > 1e-3,
-            "noise must be a strict slowdown: {seconds} vs 1e-3"
-        );
-        assert!(eval.failures.is_empty());
-        assert_eq!(eval.tally.injected, 1);
-        assert_eq!(eval.tally.noise, 1);
-        assert_eq!(eval.tally.recovered, 0);
-        assert_eq!(eval.tally.abandoned, 0);
-        assert_eq!(eval.tally.retries, 0);
-        assert_eq!(eval.tally.runner_invocations, 1);
+        for panics in [false, true] {
+            for workers in [1, 4] {
+                let (faulted, calls) = tune(&configs, workers, Some((poison, panics)));
+                assert_eq!(calls, 1, "panics={panics} workers={workers}");
+                assert_eq!(faulted.stats.runner_calls, clean.stats.runner_calls);
+                let reasons: Vec<&PruneReason> = members
+                    .iter()
+                    .map(|&i| faulted.candidates[i].pruned.as_ref().expect("pruned"))
+                    .collect();
+                assert!(
+                    matches!(reasons[0], PruneReason::RunFailed(m) if m.contains("deliberate"))
+                );
+                assert!(reasons.iter().all(|r| *r == reasons[0]), "{reasons:?}");
+                assert_eq!(faulted.best_config, without.best_config);
+                assert_eq!(
+                    faulted.best_seconds.to_bits(),
+                    without.best_seconds.to_bits()
+                );
+            }
+        }
     }
 }

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use respec_backend::BackendReport;
 use respec_ir::Function;
 use respec_opt::{split_total, CoarsenConfig};
-use respec_sim::{EnvConfigError, FaultPlan, SimError, TargetModel};
+use respec_sim::{SimError, TargetModel};
 use respec_trace::{MetricValue, Trace};
 
 mod engine;
@@ -84,18 +84,10 @@ impl fmt::Display for Strategy {
 /// Structured classification of a [`TuneError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuneErrorKind {
-    /// Every candidate was eliminated by the ordinary decision points
-    /// (legality, shared memory, spilling, failed measurement) — no fault
-    /// injection was involved.
+    /// Every candidate was eliminated by a decision point (legality,
+    /// shared memory, spilling) or lost to a failed compile or
+    /// measurement.
     NoSurvivors,
-    /// Faults were injected and *every* candidate that could have produced
-    /// a measurement was lost to them: the degradation was total.
-    AllFaulted {
-        /// Total faults injected over the whole search.
-        faults_injected: usize,
-        /// Injected hard faults whose retry chains were abandoned.
-        abandoned: usize,
-    },
     /// A simulator error outside the candidate-evaluation loop.
     Sim,
 }
@@ -147,15 +139,11 @@ pub enum PruneReason {
     /// The backend predicts register spilling (decision point 3).
     Spill { regs: u32, spill_units: u32 },
     /// The measurement run failed (e.g. out-of-bounds after an unsound
-    /// user-requested configuration, a runner panic, or an injected launch
-    /// trap), or produced a non-finite time.
+    /// user-requested configuration, or a runner panic), or produced a
+    /// non-finite time.
     RunFailed(String),
-    /// Backend compilation failed for this candidate's version (real
-    /// backend error or injected `CompileReject`) and retries exhausted.
+    /// Backend compilation failed for this candidate's version.
     CompileFailed(String),
-    /// The candidate's measurement exceeded its deadline (injected
-    /// `TimeoutExceeded` or virtual-time retry budget exhaustion).
-    TimedOut(String),
 }
 
 impl fmt::Display for PruneReason {
@@ -182,7 +170,6 @@ impl fmt::Display for PruneReason {
             }
             PruneReason::RunFailed(m) => write!(f, "measurement failed: {m}"),
             PruneReason::CompileFailed(m) => write!(f, "backend compile failed: {m}"),
-            PruneReason::TimedOut(m) => write!(f, "timed out: {m}"),
         }
     }
 }
@@ -205,9 +192,6 @@ pub struct Candidate {
     /// to an earlier candidate's, so backend compilation and measurement
     /// were skipped and the timing shared.
     pub cache_hit: bool,
-    /// Whether the timing this candidate carries was perturbed by an
-    /// injected `NoisyTiming` fault (always a slowdown).
-    pub noisy: bool,
 }
 
 /// Counters describing one tuning run (cache behavior, work performed).
@@ -227,22 +211,6 @@ pub struct TuneStats {
     /// Candidates rejected by the static race/barrier analyzer: their
     /// coarsened + optimized IR had legality errors the input kernel lacked.
     pub statically_rejected: usize,
-    /// Faults injected over the whole search (hard faults *and* noisy
-    /// timings).
-    pub faults_injected: usize,
-    /// Re-attempts performed after failed compile/launch/measure steps.
-    pub retries: usize,
-    /// Injected hard faults whose retry chain eventually succeeded (the
-    /// member compiled/measured on a later attempt).
-    pub recovered: usize,
-    /// Injected hard faults whose retry chain was abandoned (budget or
-    /// deadline exhausted); the member was demoted to a prune reason.
-    pub abandoned: usize,
-    /// Injected `NoisyTiming` faults: the measurement survived with a
-    /// perturbed (slower) time, so these are neither recovered nor
-    /// abandoned. Invariant: `recovered + abandoned ==
-    /// faults_injected - noise_faults`.
-    pub noise_faults: usize,
     /// Worker threads the engine ran with.
     pub parallelism: usize,
     /// Lookups served by the persistent [`TuningCache`]: stored winners
@@ -251,10 +219,6 @@ pub struct TuneStats {
     /// Persistent-cache lookups that found no usable entry (absent or
     /// stale). Zero without a cache.
     pub persistent_misses: usize,
-    /// Groups whose evaluation was prioritized because a winner for the
-    /// same input IR was recorded on *another* target ("A Few Fit Most"
-    /// cross-target transfer). Zero without a cache.
-    pub warm_starts: usize,
     /// Persistent entries rejected as stale — truncated, garbled, or
     /// written under a different pipeline/hash/format version. Every
     /// invalidation also counts as a persistent miss.
@@ -273,59 +237,39 @@ impl TuneStats {
     }
 }
 
-/// Bounded, deterministic retry policy for faulted candidates.
+/// A `RESPEC_*` environment variable that is set but invalid.
 ///
-/// All budgets are **virtual-time**: no wall clock enters the decision
-/// path. A member's virtual clock accumulates an exponential backoff
-/// (`backoff_base * 2^(attempt-1)`) before each retry plus the measured
-/// seconds of every run it performed; when the clock reaches `deadline`
-/// the chain is abandoned. Virtual time makes retry/abandon decisions a
-/// pure function of the fault schedule and the (deterministic) runner, so
-/// serial and parallel tunes decide identically.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Re-attempts per group member after a failed compile/launch/measure
-    /// (0 = fail on the first fault).
-    pub max_retries: u32,
-    /// Virtual backoff before retry `k`: `backoff_base * 2^(k-1)` seconds.
-    pub backoff_base: f64,
-    /// Per-member virtual-time budget in seconds (backoffs + run costs);
-    /// infinite by default.
-    pub deadline: f64,
+/// Configuration read from the environment fails loudly: a typo'd worker
+/// count or cache directory silently falling back to defaults would make a
+/// perf run measure something other than what the operator asked for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EnvConfigError {
+    /// The environment variable at fault.
+    pub var: &'static str,
+    /// The raw value it held.
+    pub value: String,
+    /// Why the value was rejected.
+    pub reason: String,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: 1e-3,
-            deadline: f64::INFINITY,
+impl EnvConfigError {
+    /// Creates an error for one rejected variable.
+    pub fn new(var: &'static str, value: impl Into<String>, reason: impl Into<String>) -> Self {
+        EnvConfigError {
+            var,
+            value: value.into(),
+            reason: reason.into(),
         }
     }
 }
 
-impl RetryPolicy {
-    /// No retries, no deadline: every fault is immediately fatal for its
-    /// candidate.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Sets the retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> RetryPolicy {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the per-member virtual-time deadline in seconds.
-    pub fn with_deadline(mut self, deadline: f64) -> RetryPolicy {
-        self.deadline = deadline;
-        self
+impl fmt::Display for EnvConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid {}={:?}: {}", self.var, self.value, self.reason)
     }
 }
+
+impl std::error::Error for EnvConfigError {}
 
 /// Tuning knobs: the single entry path for configuring a search. Worker
 /// count drives the engine; strategy and totals drive candidate generation
@@ -341,11 +285,6 @@ pub struct TuneOptions {
     pub strategy: Strategy,
     /// Total coarsening factors to explore ([`DEFAULT_TOTALS`] by default).
     pub totals: Vec<i64>,
-    /// Deterministic fault-injection schedule for chaos testing (disabled
-    /// by default).
-    pub fault_plan: FaultPlan,
-    /// Retry/deadline policy applied when candidate evaluation faults.
-    pub retry: RetryPolicy,
     /// Persistent tuning cache consulted before compile+measure work and
     /// updated with fresh reports and winners (none by default).
     pub cache: Option<Arc<TuningCache>>,
@@ -364,8 +303,6 @@ impl TuneOptions {
             parallelism: 0,
             strategy: Strategy::Combined,
             totals: DEFAULT_TOTALS.to_vec(),
-            fault_plan: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
             cache: None,
         }
     }
@@ -398,40 +335,26 @@ impl TuneOptions {
         self
     }
 
-    /// Sets the fault-injection schedule.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> TuneOptions {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Sets the retry/deadline policy for faulted candidates.
-    pub fn retry(mut self, retry: RetryPolicy) -> TuneOptions {
-        self.retry = retry;
-        self
-    }
-
     /// Attaches a persistent tuning cache: the engine resolves group
-    /// representatives from stored backend reports, short-circuits the
-    /// search on an exact stored winner, and warm-starts candidate ordering
-    /// from winners recorded on other targets.
+    /// representatives from stored backend reports and short-circuits the
+    /// search on an exact stored winner.
     pub fn cache(mut self, cache: Arc<TuningCache>) -> TuneOptions {
         self.cache = Some(cache);
         self
     }
 
-    /// Reads `RESPEC_TUNE_PARALLELISM` (worker count, `0` = auto), the
-    /// fault-injection variables `RESPEC_FAULT_SEED` / `RESPEC_FAULT_RATE` /
-    /// `RESPEC_FAULT_NOISE` ([`FaultPlan::from_env`]) and the persistent
-    /// cache directory `RESPEC_CACHE_DIR` ([`TuningCache::from_env`]);
-    /// defaults to [`TuneOptions::auto`] for every unset variable.
+    /// Reads exactly two variables: `RESPEC_TUNE_PARALLELISM` (worker
+    /// count, `0` = auto) and the persistent cache directory
+    /// `RESPEC_CACHE_DIR` ([`TuningCache::from_env`]); defaults to
+    /// [`TuneOptions::auto`] for every unset variable.
     ///
     /// # Errors
     ///
-    /// A variable that is set but invalid — a non-numeric worker count, a
-    /// fault rate outside `[0, 1]`, an uncreatable cache directory — is an
-    /// [`EnvConfigError`], never silently ignored: a perf or chaos run
-    /// whose typo'd knob quietly fell back to defaults would measure
-    /// something other than what the operator asked for.
+    /// A variable that is set but invalid — a non-numeric worker count, an
+    /// uncreatable cache directory — is an [`EnvConfigError`], never
+    /// silently ignored: a perf run whose typo'd knob quietly fell back to
+    /// defaults would measure something other than what the operator asked
+    /// for.
     pub fn from_env() -> Result<TuneOptions, EnvConfigError> {
         let mut options = TuneOptions::auto();
         if let Ok(raw) = std::env::var("RESPEC_TUNE_PARALLELISM") {
@@ -443,7 +366,6 @@ impl TuneOptions {
                 )
             })?;
         }
-        options.fault_plan = FaultPlan::from_env()?;
         let cache = TuningCache::from_env().map_err(|e| {
             EnvConfigError::new(
                 "RESPEC_CACHE_DIR",
@@ -469,8 +391,8 @@ impl TuneOptions {
 
 /// Wall-clock breakdown of one tuning run's hot path.
 ///
-/// These are **real** wall times (unlike the virtual clocks in
-/// [`RetryPolicy`]) and are therefore *outside* the determinism contract:
+/// These are real wall times and are therefore *outside* the determinism
+/// contract:
 /// serial and parallel tunes of the same kernel produce identical
 /// candidates and stats but different timings. `prepare`/`compile`/
 /// `measure` are *busy* seconds summed across workers, so with N workers
@@ -511,25 +433,6 @@ pub struct TuneResult {
     pub timings: PhaseTimings,
 }
 
-/// Best-effort degradation report: what a tune lost to faults and failed
-/// runs while still producing a winner.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegradedReport {
-    /// Faults injected over the whole search (incl. noisy timings).
-    pub faults_injected: usize,
-    /// Re-attempts the engine performed.
-    pub retries: usize,
-    /// Injected hard faults recovered by retry.
-    pub recovered: usize,
-    /// Injected hard faults abandoned after the retry budget/deadline.
-    pub abandoned: usize,
-    /// Noisy-timing faults (measurement kept, time perturbed upward).
-    pub noise_faults: usize,
-    /// Candidates lost to evaluation failures — compile failures, failed
-    /// or timed-out runs — with the reason each was demoted.
-    pub lost: Vec<(CoarsenConfig, PruneReason)>,
-}
-
 impl TuneResult {
     /// Speedup of the winner relative to the identity configuration, when
     /// the identity was measured.
@@ -540,35 +443,6 @@ impl TuneResult {
             .find(|c| c.config.is_identity())
             .and_then(|c| c.seconds)?;
         Some(id / self.best_seconds)
-    }
-
-    /// `Some` when the search was degraded: faults were injected, or
-    /// candidates were lost to compile/run/timeout failures. `None` means
-    /// the winner came out of a fully clean search.
-    pub fn degraded(&self) -> Option<DegradedReport> {
-        let lost: Vec<(CoarsenConfig, PruneReason)> = self
-            .candidates
-            .iter()
-            .filter_map(|c| match &c.pruned {
-                Some(
-                    r @ (PruneReason::CompileFailed(_)
-                    | PruneReason::RunFailed(_)
-                    | PruneReason::TimedOut(_)),
-                ) => Some((c.config, r.clone())),
-                _ => None,
-            })
-            .collect();
-        if self.stats.faults_injected == 0 && lost.is_empty() {
-            return None;
-        }
-        Some(DegradedReport {
-            faults_injected: self.stats.faults_injected,
-            retries: self.stats.retries,
-            recovered: self.stats.recovered,
-            abandoned: self.stats.abandoned,
-            noise_faults: self.stats.noise_faults,
-            lost,
-        })
     }
 }
 
@@ -669,14 +543,10 @@ fn candidate_metrics(candidate: &Candidate, regs: Option<u32>) -> Vec<(String, M
         Some(PruneReason::SharedMemory { .. }) => "shared-memory",
         Some(PruneReason::Spill { .. }) => "spill",
         Some(PruneReason::CompileFailed(_)) => "compile",
-        Some(PruneReason::TimedOut(_)) => "timeout",
         Some(PruneReason::RunFailed(_)) => "measure",
         None => "measure",
     };
     m.push(("stage".into(), stage.into()));
-    if candidate.noisy {
-        m.push(("noisy".into(), true.into()));
-    }
     if let Some(reason) = &candidate.pruned {
         m.push(("reason".into(), reason.to_string().into()));
     }
@@ -749,10 +619,6 @@ where
     R: FnMut(&Function, u32) -> Result<f64, SimError>,
     F: Fn() -> R + Sync,
 {
-    let resilience = engine::Resilience {
-        plan: options.fault_plan,
-        retry: options.retry,
-    };
     engine::tune(
         func,
         target,
@@ -760,7 +626,6 @@ where
         options.effective_parallelism(),
         &make_runner,
         trace,
-        &resilience,
         options.cache.as_deref(),
     )
 }
@@ -1301,13 +1166,7 @@ mod tests {
     /// single test avoids cross-test races over the same variables.
     #[test]
     fn from_env_rejects_invalid_values_with_structured_errors() {
-        const VARS: &[&str] = &[
-            "RESPEC_TUNE_PARALLELISM",
-            "RESPEC_FAULT_SEED",
-            "RESPEC_FAULT_RATE",
-            "RESPEC_FAULT_NOISE",
-            "RESPEC_CACHE_DIR",
-        ];
+        const VARS: &[&str] = &["RESPEC_TUNE_PARALLELISM", "RESPEC_CACHE_DIR"];
         let saved: Vec<Option<String>> = VARS.iter().map(|v| std::env::var(v).ok()).collect();
         for v in VARS {
             std::env::remove_var(v);
@@ -1319,11 +1178,6 @@ mod tests {
         assert!(err.to_string().contains("many"), "error names the value");
 
         std::env::set_var("RESPEC_TUNE_PARALLELISM", "4");
-        std::env::set_var("RESPEC_FAULT_SEED", "0x12");
-        let err = TuneOptions::from_env().unwrap_err();
-        assert_eq!(err.var, "RESPEC_FAULT_SEED", "fault-plan errors propagate");
-
-        std::env::remove_var("RESPEC_FAULT_SEED");
         let options = TuneOptions::from_env().expect("a valid environment parses");
         assert_eq!(options.parallelism, 4);
         assert!(options.cache.is_none(), "no cache dir requested");

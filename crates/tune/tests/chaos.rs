@@ -1,31 +1,36 @@
-//! Chaos differential property test: the resilient tuning engine under a
-//! randomized fault schedule.
+//! Chaos differential property test: the tuning engine under a test-side
+//! fault decorator ([`faulty::Faulty`]) that fails, panics or slows chosen
+//! versions.
 //!
-//! For arbitrary kernels, candidate ladders, fault seeds and fault rates,
-//! the faulted tune must
+//! For arbitrary kernels, candidate ladders, decorator seeds and rates, at
+//! parallelism 1 and 4, the decorated tune must
 //!
-//! 1. never panic (every fault, runner failure and retry is absorbed),
-//! 2. keep the fault accounting identity
-//!    `recovered + abandoned == faults_injected - noise_faults`,
-//! 3. agree with the fault-free tune **restricted to survivors**: whenever
-//!    the fault-free winner comes out of the faulted search with its exact
-//!    un-noisy timing, it must *be* the faulted winner (injected noise is
-//!    strictly a slowdown, so a surviving clean winner can never be
-//!    shadowed), and
-//! 4. fail only with the structured [`TuneErrorKind::AllFaulted`] when the
-//!    fault-free search had survivors — total loss must be attributable to
-//!    injection, never silent.
+//! 1. never panic (every failure and runner panic is absorbed),
+//! 2. cost one runner call per group (the ledger counts every call),
+//! 3. leave every candidate the clean tune measured in exactly one state:
+//!    failed with the injected reason, slowed (strictly larger time), or
+//!    untouched (bit-identical time),
+//! 4. agree with the clean tune **restricted to the untouched groups**:
+//!    an unslowed faulted winner is the clean winner among the untouched
+//!    candidates, bit for bit, and a slowed one is no slower than it,
+//! 5. never report a better `best_seconds` than the clean tune, and
+//! 6. on total loss fail with [`TuneErrorKind::NoSurvivors`], with every
+//!    group the clean tune measured failed by the decorator.
 //!
-//! `RESPEC_FAULT_SEED` (when set) is folded into every generated seed so CI
-//! can sweep fresh schedules without editing the test.
+//! `RESPEC_CHAOS_SEED` (read by the decorator) is folded into every seed so
+//! CI can sweep fresh schedules without editing the test.
 
+#[path = "support/faulty.rs"]
+mod faulty;
+
+use faulty::{Fault, Faulty, Rates};
 use proptest::prelude::*;
 use respec_ir::{parse_function, structural_hash, Function};
-use respec_sim::{targets, FaultPlan, FaultSpec, SimError};
+use respec_sim::{targets, SimError};
 use respec_trace::Trace;
 use respec_tune::{
     candidate_configs, tune_kernel_pooled, PruneReason, Strategy as SearchStrategy, TuneErrorKind,
-    TuneOptions, TuneResult,
+    TuneOptions,
 };
 
 /// Shape of a randomly generated kernel + search space + fault schedule.
@@ -38,7 +43,7 @@ struct Case {
     fail_parity: bool,
     fault_seed: u64,
     rate_pick: u8,
-    noise_pick: u8,
+    slow_pick: u8,
 }
 
 fn case() -> impl Strategy<Value = Case> {
@@ -61,7 +66,7 @@ fn case() -> impl Strategy<Value = Case> {
                 fail_parity,
                 fault_seed,
                 rate_pick,
-                noise_pick,
+                slow_pick,
             )| {
                 Case {
                     block_x,
@@ -71,7 +76,7 @@ fn case() -> impl Strategy<Value = Case> {
                     fail_parity,
                     fault_seed,
                     rate_pick,
-                    noise_pick,
+                    slow_pick,
                 }
             },
         )
@@ -136,23 +141,8 @@ fn runner(fail_parity: bool) -> impl FnMut(&Function, u32) -> Result<f64, SimErr
     }
 }
 
-/// CI sweep hook: fold `RESPEC_FAULT_SEED` into the generated seed so a job
-/// matrix explores disjoint schedules with the same proptest corpus.
-fn env_seed() -> u64 {
-    std::env::var("RESPEC_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-fn check_accounting(r: &TuneResult) {
-    assert_eq!(
-        r.stats.recovered + r.stats.abandoned,
-        r.stats.faults_injected - r.stats.noise_faults,
-        "fault accounting identity violated: {:?}",
-        r.stats
-    );
-    assert!(r.stats.noise_faults <= r.stats.faults_injected);
+fn injected(reason: &Option<PruneReason>) -> bool {
+    matches!(reason, Some(PruneReason::RunFailed(m)) if m.contains("injected"))
 }
 
 proptest! {
@@ -171,101 +161,108 @@ proptest! {
             .collect();
         let configs = candidate_configs(SearchStrategy::Combined, &totals, &[case.block_x, 1, 1]);
 
+        let observer = Faulty::new(0, Rates::NONE);
         let clean = tune_kernel_pooled(
             &func,
             &target,
             &configs,
             &TuneOptions::serial(),
-            || runner(case.fail_parity),
+            observer.decorate(|| runner(case.fail_parity)),
             &Trace::disabled(),
         );
-
-        let rate = [0.1, 0.5, 0.9][case.rate_pick as usize];
-        let noise = [0.0, 0.3][case.noise_pick as usize];
-        let spec = FaultSpec::uniform(rate).with_noise(noise);
-        let plan = FaultPlan::new(case.fault_seed ^ env_seed(), spec);
-        let faulted = tune_kernel_pooled(
-            &func,
-            &target,
-            &configs,
-            &TuneOptions::serial().fault_plan(plan),
-            || runner(case.fail_parity),
-            &Trace::disabled(),
-        );
-
-        match (&clean, &faulted) {
-            (_, Ok(f)) => {
-                check_accounting(f);
-                // degraded() iff something was actually lost or injected.
-                let lost = f.candidates.iter().any(|c| matches!(
-                    c.pruned,
-                    Some(PruneReason::CompileFailed(_)
-                        | PruneReason::RunFailed(_)
-                        | PruneReason::TimedOut(_))
-                ));
-                prop_assert_eq!(
-                    f.degraded().is_some(),
-                    f.stats.faults_injected > 0 || lost,
-                    "degraded() must reflect injection/loss exactly"
-                );
-                if let Some(d) = f.degraded() {
-                    prop_assert_eq!(d.faults_injected, f.stats.faults_injected);
-                    prop_assert_eq!(d.abandoned, f.stats.abandoned);
-                    prop_assert_eq!(d.lost.is_empty(), !lost);
-                }
-
-                // Survivor-restricted differential check: if the fault-free
-                // winner survived the chaos un-noisy with its exact timing,
-                // it must still be the winner.
-                if let Ok(c) = &clean {
-                    let wi = configs
-                        .iter()
-                        .position(|&cfg| cfg == c.best_config)
-                        .expect("winner config is in the ladder");
-                    let survivor = &f.candidates[wi];
-                    if !survivor.noisy
-                        && survivor.seconds.map(f64::to_bits)
-                            == Some(c.best_seconds.to_bits())
-                    {
-                        prop_assert_eq!(f.best_config, c.best_config);
-                        prop_assert_eq!(
-                            f.best_seconds.to_bits(),
-                            c.best_seconds.to_bits()
-                        );
-                        prop_assert_eq!(f.best.to_string(), c.best.to_string());
-                    }
-                    // Noise only slows candidates down, so a faulted search
-                    // can never report a better time than the clean one.
-                    prop_assert!(f.best_seconds >= c.best_seconds - 1e-18);
-                }
-            }
-            (Ok(_), Err(fe)) => {
-                // The clean search had survivors; losing all of them must be
-                // attributed to injection, with counts.
-                match fe.kind {
-                    TuneErrorKind::AllFaulted { faults_injected, abandoned } => {
-                        prop_assert!(faults_injected > 0);
-                        prop_assert!(abandoned > 0);
-                        prop_assert!(abandoned <= faults_injected);
-                    }
-                    k => prop_assert!(
-                        false,
-                        "expected AllFaulted, got {k:?}: {}",
-                        fe.message
-                    ),
-                }
-                prop_assert!(fe.message.contains("no candidate"));
-            }
-            (Err(_), Err(_)) => {}
+        // Every version the clean run called the runner with, and whether
+        // it measured.
+        let clean_ledger = observer.ledger();
+        if let Ok(c) = &clean {
+            prop_assert!(c.candidates.iter().all(|cand| !injected(&cand.pruned)));
+            prop_assert_eq!(c.stats.runner_calls, clean_ledger.len());
         }
 
-        // The clean run reports zero fault activity.
-        if let Ok(c) = &clean {
-            prop_assert_eq!(c.stats.faults_injected, 0);
-            prop_assert_eq!(c.stats.recovered, 0);
-            prop_assert_eq!(c.stats.abandoned, 0);
-            prop_assert_eq!(c.stats.noise_faults, 0);
-            prop_assert!(c.candidates.iter().all(|cand| !cand.noisy));
+        let rate = [0.1, 0.5, 0.9][case.rate_pick as usize];
+        let slow = [0.0, 0.3][case.slow_pick as usize];
+        let rates = Rates { fail: rate / 2.0, panic: rate / 2.0, slow };
+        for parallelism in [1usize, 4] {
+            let faulty = Faulty::new(case.fault_seed, rates);
+            let faulted = tune_kernel_pooled(
+                &func,
+                &target,
+                &configs,
+                &TuneOptions::with_parallelism(parallelism),
+                faulty.decorate(|| runner(case.fail_parity)),
+                &Trace::disabled(),
+            );
+            let ledger = faulty.ledger();
+            // One evaluation per group: every version was run at most once,
+            // and the faulted run called exactly what the clean run did.
+            prop_assert!(ledger.values().all(|e| e.calls == 1), "{:?}", ledger);
+            prop_assert_eq!(
+                ledger.keys().collect::<Vec<_>>(),
+                clean_ledger.keys().collect::<Vec<_>>()
+            );
+            let hit_hard = clean_ledger
+                .iter()
+                .filter(|(_, e)| e.measured)
+                .all(|(h, _)| matches!(faulty.decide(*h), Some(Fault::Fail | Fault::Panic)));
+
+            match (&clean, &faulted) {
+                (Ok(c), Ok(f)) => {
+                    prop_assert_eq!(f.stats.runner_calls, c.stats.runner_calls);
+                    // Every candidate the clean run measured is failed by
+                    // the decorator, slowed, or untouched — and the
+                    // untouched ones form the restricted clean search.
+                    let mut restricted: Option<(usize, f64)> = None;
+                    for (i, (cc, fc)) in c.candidates.iter().zip(&f.candidates).enumerate() {
+                        prop_assert_eq!(cc.config, fc.config);
+                        let Some(clean_s) = cc.seconds else {
+                            // The decorator decides before the runner runs,
+                            // so it may replace a real failure.
+                            if !injected(&fc.pruned) {
+                                prop_assert_eq!(&cc.pruned, &fc.pruned);
+                            }
+                            continue;
+                        };
+                        if injected(&fc.pruned) {
+                            prop_assert!(fc.seconds.is_none());
+                        } else if let Some(s) = fc.seconds {
+                            if s.to_bits() == clean_s.to_bits() {
+                                if restricted.is_none_or(|(_, t)| s < t) {
+                                    restricted = Some((i, s));
+                                }
+                            } else {
+                                prop_assert!(s > clean_s, "slowdown only: {} vs {}", s, clean_s);
+                            }
+                        } else {
+                            prop_assert!(false, "candidate {} lost without a reason", i);
+                        }
+                    }
+                    if let Some((ri, rs)) = restricted {
+                        let wi = configs
+                            .iter()
+                            .position(|&cfg| cfg == f.best_config)
+                            .expect("winner config is in the ladder");
+                        let winner_untouched = c.candidates[wi].seconds.map(f64::to_bits)
+                            == f.candidates[wi].seconds.map(f64::to_bits);
+                        if winner_untouched {
+                            prop_assert_eq!(f.best_config, c.candidates[ri].config);
+                            prop_assert_eq!(f.best_seconds.to_bits(), rs.to_bits());
+                        } else {
+                            prop_assert!(f.best_seconds <= rs);
+                        }
+                    }
+                    // Failing or slowing candidates never gives a better time.
+                    prop_assert!(f.best_seconds >= c.best_seconds);
+                    prop_assert!(!hit_hard, "every measured group failed, yet a winner exists");
+                }
+                (Ok(_), Err(fe)) => {
+                    // Total loss: structured, and every group the clean run
+                    // measured was failed by the decorator.
+                    prop_assert_eq!(fe.kind, TuneErrorKind::NoSurvivors);
+                    prop_assert!(fe.message.contains("no candidate"));
+                    prop_assert!(hit_hard, "a group survived the decorator: {:?}", ledger);
+                }
+                (Err(ce), Err(fe)) => prop_assert_eq!(ce, fe),
+                (Err(_), Ok(_)) => prop_assert!(false, "faults cannot create a survivor"),
+            }
         }
     }
 }

@@ -3,17 +3,22 @@
 //! Serial (`parallelism = 1`) and parallel tuning must select byte-identical
 //! winners with bit-identical timings and emit identical candidate decision
 //! logs, for arbitrary kernels, strategies and factor ladders — **including
-//! under an active fault-injection schedule**: faults are keyed by candidate
-//! and attempt, never by thread, so the same `FaultPlan` produces the same
-//! injected faults, the same retries/re-elections and the same stats at any
-//! worker count. CI runs this with a forced `parallelism > 1` so the
-//! threaded path is exercised even on single-core runners.
+//! under the test-side fault decorator** ([`faulty::Faulty`]): its
+//! decisions are keyed by the version's structural hash, never by thread,
+//! so the same seed fails, panics and slows the same versions and leaves
+//! the same ledger at any worker count. CI runs this with a forced
+//! `parallelism > 1` so the threaded path is exercised even on single-core
+//! runners.
+
+#[path = "support/faulty.rs"]
+mod faulty;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use faulty::{Faulty, Rates};
 use proptest::prelude::*;
 use respec_ir::{parse_function, structural_hash, Function};
-use respec_sim::{targets, FaultPlan, FaultSpec, SimError};
+use respec_sim::{targets, SimError};
 use respec_trace::{MetricValue, Trace, TraceEvent};
 use respec_tune::{candidate_configs, tune_kernel_pooled, Strategy as SearchStrategy, TuneOptions};
 
@@ -28,7 +33,7 @@ struct Case {
     fail_parity: bool,
     fault_seed: u64,
     fault_rate_pick: u8,
-    noise_pick: u8,
+    slow_pick: u8,
 }
 
 fn case() -> impl Strategy<Value = Case> {
@@ -42,7 +47,7 @@ fn case() -> impl Strategy<Value = Case> {
     )
         .prop_map(
             |(block_x, extra_ops, use_shared, strategy_pick, totals_mask, rest)| {
-                let (fail_parity, fault_seed, fault_rate_pick, noise_pick) = rest;
+                let (fail_parity, fault_seed, fault_rate_pick, slow_pick) = rest;
                 Case {
                     block_x,
                     extra_ops,
@@ -52,7 +57,7 @@ fn case() -> impl Strategy<Value = Case> {
                     fail_parity,
                     fault_seed,
                     fault_rate_pick,
-                    noise_pick,
+                    slow_pick,
                 }
             },
         )
@@ -129,29 +134,6 @@ fn decision_log(trace: &Trace) -> Vec<(String, Vec<(String, MetricValue)>)> {
         .collect()
 }
 
-/// Fault events with their full metric set. Workers interleave these in
-/// arbitrary order, so the comparison is over the *sorted* multiset — the
-/// set of injected faults is deterministic even though emission order is
-/// not.
-fn fault_log(trace: &Trace) -> Vec<String> {
-    let mut log: Vec<String> = trace
-        .events()
-        .into_iter()
-        .filter(|e: &TraceEvent| e.name == "fault")
-        .map(|e| {
-            let mut metrics: Vec<String> = e
-                .metrics
-                .iter()
-                .map(|(k, v)| format!("{k}={v:?}"))
-                .collect();
-            metrics.sort();
-            metrics.join(",")
-        })
-        .collect();
-    log.sort();
-    log
-}
-
 /// `parallelism = 1` is the pool's inline mode of the one driver: the
 /// factory is called once, and it and every runner call stay on the calling
 /// thread — nothing is spawned.
@@ -166,7 +148,7 @@ fn serial_tuning_runs_inline_on_the_calling_thread() {
         fail_parity: false,
         fault_seed: 0,
         fault_rate_pick: 0,
-        noise_pick: 0,
+        slow_pick: 0,
     };
     let func = kernel_for(&case);
     let configs = candidate_configs(SearchStrategy::Combined, &[1, 2, 4], &[64, 1, 1]);
@@ -229,32 +211,30 @@ proptest! {
             .collect();
         let configs = candidate_configs(strategy, &totals, &[case.block_x, 1, 1]);
 
-        // A third of the cases tune fault-free; the rest run under an
-        // active schedule whose seed/rates the two runs share exactly.
+        // Some cases tune fault-free; the rest run under a decorator whose
+        // seed and rates the two runs share exactly.
         let rate = [0.0, 0.1, 0.5][case.fault_rate_pick as usize];
-        let noise = [0.0, 0.2][case.noise_pick as usize];
-        let plan = if rate == 0.0 && noise == 0.0 {
-            FaultPlan::disabled()
-        } else {
-            FaultPlan::new(case.fault_seed, FaultSpec::uniform(rate).with_noise(noise))
-        };
+        let slow = [0.0, 0.2][case.slow_pick as usize];
+        let rates = Rates { fail: rate / 2.0, panic: rate / 2.0, slow };
 
+        let serial_faults = Faulty::new(case.fault_seed, rates);
         let serial_trace = Trace::new();
         let serial = tune_kernel_pooled(
             &func,
             &target,
             &configs,
-            &TuneOptions::serial().fault_plan(plan),
-            || runner(case.fail_parity),
+            &TuneOptions::serial(),
+            serial_faults.decorate(|| runner(case.fail_parity)),
             &serial_trace,
         );
+        let parallel_faults = Faulty::new(case.fault_seed, rates);
         let parallel_trace = Trace::new();
         let parallel = tune_kernel_pooled(
             &func,
             &target,
             &configs,
-            &TuneOptions::with_parallelism(4).fault_plan(plan),
-            || runner(case.fail_parity),
+            &TuneOptions::with_parallelism(4),
+            parallel_faults.decorate(|| runner(case.fail_parity)),
             &parallel_trace,
         );
 
@@ -273,18 +253,12 @@ proptest! {
                     );
                     prop_assert_eq!(&a.pruned, &b.pruned);
                     prop_assert_eq!(a.cache_hit, b.cache_hit);
-                    prop_assert_eq!(a.noisy, b.noisy);
+                    prop_assert_eq!(&a.backend, &b.backend);
                 }
-                prop_assert_eq!(s.stats.cache_hits, p.stats.cache_hits);
-                prop_assert_eq!(s.stats.cache_misses, p.stats.cache_misses);
-                prop_assert_eq!(s.stats.runner_calls, p.stats.runner_calls);
-                // The whole fault ledger must match, not just the totals.
-                prop_assert_eq!(s.stats.faults_injected, p.stats.faults_injected);
-                prop_assert_eq!(s.stats.retries, p.stats.retries);
-                prop_assert_eq!(s.stats.recovered, p.stats.recovered);
-                prop_assert_eq!(s.stats.abandoned, p.stats.abandoned);
-                prop_assert_eq!(s.stats.noise_faults, p.stats.noise_faults);
-                prop_assert_eq!(s.degraded(), p.degraded());
+                // Every counter except the worker count itself.
+                prop_assert_eq!(s.stats.parallelism, 1);
+                prop_assert_eq!(p.stats.parallelism, 4);
+                prop_assert_eq!(s.stats, respec_tune::TuneStats { parallelism: 1, ..p.stats });
             }
             (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
             (s, p) => prop_assert!(
@@ -295,9 +269,9 @@ proptest! {
             ),
         }
         // The decision logs — every candidate event with its full metric
-        // set, plus the winner — must match entry for entry; the injected
-        // fault sets must match as sorted multisets.
+        // set, plus the winner — must match entry for entry, and so must
+        // the decorator's ledgers.
         prop_assert_eq!(decision_log(&serial_trace), decision_log(&parallel_trace));
-        prop_assert_eq!(fault_log(&serial_trace), fault_log(&parallel_trace));
+        prop_assert_eq!(serial_faults.ledger(), parallel_faults.ledger());
     }
 }

@@ -1,57 +1,62 @@
-//! Seeded fault-matrix integration test: the resilient tuning engine over
-//! real Rodinia apps at escalating fault rates.
+//! Seeded fault-matrix integration test: the tuning engine over real
+//! Rodinia apps, with the runner wrapped in the test-side fault decorator
+//! ([`faulty::Faulty`]) at escalating rates.
 //!
-//! For each app × rate cell the engine must (a) never panic, (b) keep the
-//! fault accounting identity, (c) return a winner whose substituted module
-//! still verifies against the app's sequential reference, (d) report
-//! degradation exactly when faults or losses occurred, and (e) — the
-//! differential guarantee — select the fault-free winner whenever that
-//! candidate survived the chaos with its exact un-noisy timing.
+//! For each app × rate cell the engine must (a) never panic, (b) run every
+//! version at most once, (c) return a winner whose substituted module
+//! still verifies against the app's sequential reference, (d) lose
+//! candidates exactly when the decorator failed or panicked a version it
+//! ran, and (e) — the differential guarantee — select the fault-free
+//! winner whenever that candidate survived with its exact unslowed timing.
+//! Total loss must be a structured `NoSurvivors` error.
 //!
-//! The schedule honors `RESPEC_FAULT_SEED` (folded into each cell's seed)
-//! and `RESPEC_TUNE_PARALLELISM` (worker count), so a CI matrix sweeps
-//! fresh fault schedules at several worker counts without edits here.
+//! The decorator folds `RESPEC_CHAOS_SEED` into each cell's seed, and the
+//! worker count comes from `RESPEC_TUNE_PARALLELISM`, so a CI matrix sweeps
+//! fresh schedules at several worker counts without edits here.
 
+#[path = "../crates/tune/tests/support/faulty.rs"]
+mod faulty;
+
+use faulty::{Fault, Faulty, Rates};
+use respec::tune::PruneReason;
 use respec::{
-    candidate_configs, targets, tune_kernel_pooled, FaultPlan, FaultSpec, Strategy, Trace,
-    TuneErrorKind, TuneOptions, TuneResult,
+    candidate_configs, targets, tune_kernel_pooled, Strategy, Trace, TuneErrorKind, TuneOptions,
+    TuneResult,
 };
 use respec_rodinia::{all_apps_sized, compile_app, max_abs_err, App, Workload};
 
 const APPS: [&str; 3] = ["lud", "pathfinder", "gaussian"];
 const RATES: [f64; 3] = [0.0, 0.1, 0.5];
-const NOISE: f64 = 0.2;
+const SLOW: f64 = 0.2;
 const TOTALS: [i64; 2] = [1, 2];
 
-fn env_u64(name: &str) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-/// Per-cell fault plan: deterministic in (app, rate), perturbed by
-/// `RESPEC_FAULT_SEED` for CI sweeps. Rate 0 means injection off.
-fn plan_for(app_idx: usize, rate_idx: usize) -> FaultPlan {
+/// Per-cell decorator: deterministic in (app, rate). Rate 0 injects
+/// nothing and only records calls.
+fn faulty_for(app_idx: usize, rate_idx: usize) -> Faulty {
     let rate = RATES[rate_idx];
     if rate == 0.0 {
-        return FaultPlan::disabled();
+        return Faulty::new(0, Rates::NONE);
     }
-    let seed = (app_idx as u64 * 1009 + rate_idx as u64 + 1) ^ env_u64("RESPEC_FAULT_SEED");
-    FaultPlan::new(seed, FaultSpec::uniform(rate).with_noise(NOISE))
+    let seed = app_idx as u64 * 1009 + rate_idx as u64 + 1;
+    Faulty::new(
+        seed,
+        Rates {
+            fail: rate / 2.0,
+            panic: rate / 2.0,
+            slow: SLOW,
+        },
+    )
 }
 
-fn options_for(plan: FaultPlan) -> TuneOptions {
-    // Honor RESPEC_TUNE_PARALLELISM like the bench harness does, but pin
-    // the fault schedule to this cell's plan.
+fn options() -> TuneOptions {
     let parallelism = std::env::var("RESPEC_TUNE_PARALLELISM")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(1);
-    TuneOptions::with_parallelism(parallelism.max(1)).fault_plan(plan)
+    TuneOptions::with_parallelism(parallelism.max(1))
 }
 
-fn tune_cell(app: &dyn App, plan: FaultPlan) -> Result<TuneResult, respec::tune::TuneError> {
+fn tune_cell(app: &dyn App, faulty: &Faulty) -> Result<TuneResult, respec::tune::TuneError> {
     let module = compile_app(app).expect("app compiles");
     let kernel = app.main_kernel().to_string();
     let func = module.function(&kernel).expect("main kernel").clone();
@@ -62,8 +67,8 @@ fn tune_cell(app: &dyn App, plan: FaultPlan) -> Result<TuneResult, respec::tune:
         &func,
         &target,
         &configs,
-        &options_for(plan),
-        || {
+        &options(),
+        faulty.decorate(|| {
             let module = &module;
             let kernel = kernel.clone();
             move |version: &respec::Function, _regs: u32| {
@@ -79,7 +84,7 @@ fn tune_cell(app: &dyn App, plan: FaultPlan) -> Result<TuneResult, respec::tune:
                     .fold(0.0f64, f64::max);
                 Ok(sim.kernel_seconds_above(&kernel, max * 0.25))
             }
-        },
+        }),
         &Trace::disabled(),
     )
 }
@@ -100,72 +105,12 @@ fn verify_winner(app: &dyn App, result: &TuneResult) {
     );
 }
 
-/// The environment path: `TuneOptions::from_env` picks up
-/// `RESPEC_FAULT_SEED` / `RESPEC_FAULT_RATE` / `RESPEC_FAULT_NOISE` and
-/// `RESPEC_TUNE_PARALLELISM`, so any existing harness becomes a chaos
-/// harness without code changes. With no fault variables set this runs the
-/// clean path; either way the engine must stay robust and any winner must
-/// verify.
-#[test]
-fn env_driven_injection_is_robust() {
-    let apps = all_apps_sized(Workload::Small);
-    let app = apps
+fn lost(result: &TuneResult) -> usize {
+    result
+        .candidates
         .iter()
-        .find(|a| a.name() == "lud")
-        .expect("lud registered");
-    let module = compile_app(app.as_ref()).expect("app compiles");
-    let kernel = app.main_kernel().to_string();
-    let func = module.function(&kernel).expect("main kernel").clone();
-    let target = targets::a100();
-    let launches = respec::ir::kernel::analyze_function(&func).expect("kernel shape");
-    let configs = candidate_configs(Strategy::Combined, &TOTALS, &launches[0].block_dims);
-    let options = TuneOptions::from_env().expect("invalid RESPEC_* environment");
-    let outcome = tune_kernel_pooled(
-        &func,
-        &target,
-        &configs,
-        &options,
-        || {
-            let module = &module;
-            let kernel = kernel.clone();
-            move |version: &respec::Function, _regs: u32| {
-                let mut m = module.clone();
-                m.add_function(version.clone());
-                let mut sim = respec::GpuSim::new(targets::a100());
-                app.run(&mut sim, &m)?;
-                let max = sim
-                    .launch_log
-                    .iter()
-                    .filter(|t| t.kernel == kernel)
-                    .map(|t| t.seconds)
-                    .fold(0.0f64, f64::max);
-                Ok(sim.kernel_seconds_above(&kernel, max * 0.25))
-            }
-        },
-        &Trace::disabled(),
-    );
-    match outcome {
-        Ok(result) => {
-            assert_eq!(
-                result.stats.recovered + result.stats.abandoned,
-                result.stats.faults_injected - result.stats.noise_faults,
-                "accounting identity violated: {:?}",
-                result.stats
-            );
-            if !options.fault_plan.is_active() {
-                assert_eq!(result.stats.faults_injected, 0);
-            }
-            verify_winner(app.as_ref(), &result);
-        }
-        Err(e) => {
-            assert!(
-                options.fault_plan.is_active(),
-                "fault-free env run must succeed: {}",
-                e.message
-            );
-            assert!(matches!(e.kind, TuneErrorKind::AllFaulted { .. }));
-        }
-    }
+        .filter(|c| matches!(c.pruned, Some(PruneReason::RunFailed(_))))
+        .count()
 }
 
 #[test]
@@ -179,40 +124,37 @@ fn fault_matrix_over_rodinia_apps() {
 
         // Rate 0 first: the clean baseline every faulted cell is compared
         // against.
-        let clean = tune_cell(app.as_ref(), plan_for(app_idx, 0))
+        let observer = faulty_for(app_idx, 0);
+        let clean = tune_cell(app.as_ref(), &observer)
             .expect("fault-free tuning succeeds on Small workloads");
-        assert_eq!(clean.stats.faults_injected, 0, "{name}: clean run injected");
-        assert!(
-            clean.degraded().is_none(),
-            "{name}: clean run must not be degraded: {:?}",
-            clean.degraded()
-        );
+        assert_eq!(lost(&clean), 0, "{name}: clean run lost candidates");
         verify_winner(app.as_ref(), &clean);
 
         for (rate_idx, &rate) in RATES.iter().enumerate().skip(1) {
-            let plan = plan_for(app_idx, rate_idx);
-            match tune_cell(app.as_ref(), plan) {
+            let faulty = faulty_for(app_idx, rate_idx);
+            let outcome = tune_cell(app.as_ref(), &faulty);
+            let ledger = faulty.ledger();
+            assert!(
+                ledger.values().all(|e| e.calls == 1),
+                "{name}@{rate}: a version ran more than once: {ledger:?}"
+            );
+            let hard = ledger
+                .values()
+                .filter(|e| matches!(e.fault, Some(Fault::Fail | Fault::Panic)))
+                .count();
+            match outcome {
                 Ok(result) => {
-                    // Accounting identity holds at every rate.
-                    assert_eq!(
-                        result.stats.recovered + result.stats.abandoned,
-                        result.stats.faults_injected - result.stats.noise_faults,
-                        "{name}@{}: accounting identity violated: {:?}",
-                        rate,
-                        result.stats
-                    );
                     // Whenever a winner is returned its output verifies.
                     verify_winner(app.as_ref(), &result);
-                    // Degraded exactly when faults were injected or
-                    // candidates lost.
-                    let lost = result.degraded().map_or(0, |d| d.lost.len());
+                    // Candidates are lost exactly when the decorator failed
+                    // or panicked a version it ran.
                     assert_eq!(
-                        result.degraded().is_some(),
-                        result.stats.faults_injected > 0 || lost > 0,
-                        "{name}@{}: degraded() disagrees with the stats",
-                        rate
+                        lost(&result) > 0,
+                        hard > 0,
+                        "{name}@{rate}: losses disagree with the ledger"
                     );
-                    // Differential winner check: a surviving un-noisy clean
+                    assert!(result.best_seconds >= clean.best_seconds);
+                    // Differential winner check: a surviving unslowed clean
                     // winner must stay the winner.
                     let wi = result
                         .candidates
@@ -220,35 +162,23 @@ fn fault_matrix_over_rodinia_apps() {
                         .position(|c| c.config == clean.best_config)
                         .expect("clean winner config is in the ladder");
                     let survivor = &result.candidates[wi];
-                    if !survivor.noisy
-                        && survivor.seconds.map(f64::to_bits) == Some(clean.best_seconds.to_bits())
-                    {
+                    if survivor.seconds.map(f64::to_bits) == Some(clean.best_seconds.to_bits()) {
                         assert_eq!(
                             result.best_config, clean.best_config,
-                            "{name}@{}: surviving clean winner was shadowed",
-                            rate
+                            "{name}@{rate}: surviving clean winner was shadowed"
                         );
                         assert_eq!(result.best_seconds.to_bits(), clean.best_seconds.to_bits());
                     }
                 }
                 Err(e) => {
-                    // Total loss must be structured and attributed to
-                    // injection — the clean cell above proved survivors
-                    // exist without it.
-                    match e.kind {
-                        TuneErrorKind::AllFaulted {
-                            faults_injected,
-                            abandoned,
-                        } => {
-                            assert!(faults_injected > 0);
-                            assert!(abandoned > 0);
-                        }
-                        k => panic!(
-                            "{name}@{}: expected AllFaulted, got {k:?}: {}",
-                            rate, e.message
-                        ),
-                    }
+                    // Total loss must be structured, and every version the
+                    // clean cell measured was failed by the decorator.
+                    assert_eq!(e.kind, TuneErrorKind::NoSurvivors, "{name}@{rate}");
                     assert!(e.message.contains("no candidate"));
+                    assert!(observer.ledger().iter().all(|(h, _)| matches!(
+                        faulty.decide(*h),
+                        Some(Fault::Fail | Fault::Panic)
+                    )));
                 }
             }
         }
