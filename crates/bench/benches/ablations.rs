@@ -10,7 +10,7 @@
 
 use respec::ir::kernel::analyze_function;
 use respec::opt::{optimize, unroll_interleave, CoarsenConfig, IndexingStyle};
-use respec::{targets, Compiler, GpuSim, KernelArg};
+use respec::{targets, Compiler, GpuSim, KernelArg, TuneOptions};
 use respec_bench::{composite_seconds, lud_config_seconds, Pipeline};
 use respec_rodinia::{all_apps_sized, Workload};
 
@@ -202,8 +202,12 @@ fn licm_ablation() {
     );
     let name = "srad_v1";
     let app = apps.iter().find(|a| a.name() == name).expect("registered");
-    let clang = composite_seconds(app.as_ref(), &target, Pipeline::Clang, &[1]);
-    let pg = composite_seconds(app.as_ref(), &target, Pipeline::PolygeistNoOpt, &[1]);
+    // Neither pipeline tunes, so the worker count is moot.
+    let composite = |p| composite_seconds(app.as_ref(), &target, p, &[1], &TuneOptions::serial());
+    let (clang, pg) = (
+        composite(Pipeline::Clang),
+        composite(Pipeline::PolygeistNoOpt),
+    );
     println!(
         "  {name:<10} clang {:.3e} s   P-G {:.3e} s   ratio {:.3}x",
         clang,

@@ -6,9 +6,9 @@
 //! under the test-side fault decorator** ([`faulty::Faulty`]): its
 //! decisions are keyed by the version's structural hash, never by thread,
 //! so the same seed fails, panics and slows the same versions and leaves
-//! the same ledger at any worker count. CI runs this with a forced
-//! `parallelism > 1` so the threaded path is exercised even on single-core
-//! runners.
+//! the same ledger at any worker count. The parallel side always asks for
+//! four workers, so the threaded path is exercised even on single-core
+//! runners; the suite reads no environment.
 
 #[path = "support/faulty.rs"]
 mod faulty;
