@@ -17,8 +17,8 @@ use respec::opt::optimize;
 use respec::sim::SimError;
 use respec::tune::PruneReason;
 use respec::{
-    candidate_configs, targets, tune_kernel_pooled, CoarsenConfig, ExecMode, Function, GpuSim,
-    Module, Strategy, TargetDesc, TargetModel, Trace, TuneOptions, TuneResult, TuningCache,
+    candidate_configs, targets, tune_kernel_pooled, CoarsenConfig, Function, GpuSim, Module,
+    Strategy, TargetDesc, TargetModel, Trace, TuneOptions, TuneResult, TuningCache,
 };
 use respec_rodinia::{all_apps_sized, compile_app, App, Workload};
 
@@ -229,86 +229,6 @@ pub fn strategy_best(
             }
         });
     (identity, best)
-}
-
-/// Interpreter throughput on one app: warp-level instruction issues
-/// retired per wall-clock second under scalar vs warp-vectorized
-/// execution (the `interp_throughput` microbenchmark's unit of
-/// measurement). Both modes execute the identical instruction stream —
-/// the counters are part of the scalar↔vectorized equivalence contract —
-/// so the issue count is reported once.
-#[derive(Clone, Debug)]
-pub struct InterpThroughputRow {
-    /// Application name.
-    pub app: String,
-    /// Warp-level instruction issues of one full app run, summed over
-    /// every launch (identical across execution modes).
-    pub total_issues: u64,
-    /// Host wall-clock seconds of one full app run, scalar interpreter.
-    pub scalar_seconds: f64,
-    /// Host wall-clock seconds of one full app run, warp-vectorized
-    /// interpreter.
-    pub warp_seconds: f64,
-}
-
-impl InterpThroughputRow {
-    /// Warp-level issues per host second, scalar interpreter.
-    pub fn scalar_ops_per_sec(&self) -> f64 {
-        self.total_issues as f64 / self.scalar_seconds.max(1e-12)
-    }
-
-    /// Warp-level issues per host second, warp-vectorized interpreter.
-    pub fn warp_ops_per_sec(&self) -> f64 {
-        self.total_issues as f64 / self.warp_seconds.max(1e-12)
-    }
-
-    /// Warp-vectorized-over-scalar wall-clock speedup.
-    pub fn speedup(&self) -> f64 {
-        self.scalar_seconds / self.warp_seconds.max(1e-12)
-    }
-}
-
-/// Times `repeats` full app runs per execution mode per app and reports
-/// the mean seconds per run alongside the issue count. The first run of
-/// each mode is an untimed warm-up so one-time costs (decode, lazy
-/// allocations, page faults) don't pollute the smallest workloads.
-pub fn interp_throughput_data(workload: Workload, repeats: usize) -> Vec<InterpThroughputRow> {
-    let target = targets::a100();
-    let repeats = repeats.max(1);
-    let mut rows = Vec::new();
-    for app in all_apps_sized(workload) {
-        let module = compiled_module(app.as_ref(), Pipeline::PolygeistNoOpt);
-        let timed_run = |mode: ExecMode| -> (f64, u64) {
-            let mut issues = 0u64;
-            let mut seconds = 0.0;
-            for rep in 0..=repeats {
-                let mut sim = GpuSim::new(target.clone());
-                sim.set_exec_mode(mode);
-                let started = std::time::Instant::now();
-                app.run(&mut sim, &module).expect("app runs");
-                if rep > 0 {
-                    seconds += started.elapsed().as_secs_f64();
-                }
-                issues = sim.launch_log.iter().map(|t| t.stats.total_issues()).sum();
-            }
-            (seconds / repeats as f64, issues)
-        };
-        let (scalar_seconds, scalar_issues) = timed_run(ExecMode::Scalar);
-        let (warp_seconds, warp_issues) = timed_run(ExecMode::WarpVectorized);
-        assert_eq!(
-            scalar_issues,
-            warp_issues,
-            "issue counters diverged between execution modes on {}",
-            app.name()
-        );
-        rows.push(InterpThroughputRow {
-            app: app.name().to_string(),
-            total_issues: scalar_issues,
-            scalar_seconds,
-            warp_seconds,
-        });
-    }
-    rows
 }
 
 /// Geometric mean (1.0 for an empty slice).
@@ -593,21 +513,52 @@ pub fn fig17_view(fig16: &[Row]) -> Vec<Row> {
         .filter_map(|a| {
             let app = label(a, "app");
             let rx = rows_of(rx6800).find(|r| label(r, "app") == app)?;
-            let (base, pg_a4000, pg_rx) = (
-                value(a, "clang_s"),
-                value(a, "pg_opt_s"),
-                value(rx, "pg_opt_s"),
-            );
-            Some(vec![
-                ("app", Cell::Str(app.to_string())),
-                ("a4000_clang_s", Cell::Num(base)),
-                ("a4000_pg_s", Cell::Num(pg_a4000)),
-                ("rx6800_pg_s", Cell::Num(pg_rx)),
-                ("speedup_a4000_pg", Cell::Num(base / pg_a4000)),
-                ("speedup_rx6800_pg", Cell::Num(base / pg_rx)),
-            ])
+            Some(fig17_row(
+                app,
+                [
+                    value(a, "clang_s"),
+                    value(a, "pg_opt_s"),
+                    value(rx, "pg_opt_s"),
+                ],
+            ))
         })
         .collect()
+}
+
+/// Fig. 17 without Fig. 16's rows: the three composites per app it reads,
+/// at Fig. 16's sweep — equal to [`fig17_view`] of [`fig16_data`] on the
+/// A4000 and the RX6800.
+pub fn fig17_data(workload: Workload, totals: &[i64], options: &TuneOptions) -> Vec<Row> {
+    let (a4000, rx6800) = (targets::a4000(), targets::rx6800());
+    all_apps_sized(workload)
+        .iter()
+        .map(|app| {
+            let composite = |target, pipeline| {
+                composite_seconds(app.as_ref(), target, pipeline, totals, options)
+            };
+            fig17_row(
+                app.name(),
+                [
+                    composite(&a4000, Pipeline::Clang),
+                    composite(&a4000, Pipeline::PolygeistOpt),
+                    composite(&rx6800, Pipeline::PolygeistOpt),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// One Fig. 17 row from A4000 clang, A4000 P-G opt and RX6800 P-G opt
+/// composite seconds.
+fn fig17_row(app: &str, [base, pg_a4000, pg_rx]: [f64; 3]) -> Row {
+    vec![
+        ("app", Cell::Str(app.to_string())),
+        ("a4000_clang_s", Cell::Num(base)),
+        ("a4000_pg_s", Cell::Num(pg_a4000)),
+        ("rx6800_pg_s", Cell::Num(pg_rx)),
+        ("speedup_a4000_pg", Cell::Num(base / pg_a4000)),
+        ("speedup_rx6800_pg", Cell::Num(base / pg_rx)),
+    ]
 }
 
 /// The CPU retargeting sweep's totals ladder.
@@ -795,36 +746,6 @@ pub fn fatbin_data(
     (coverage, dispatch)
 }
 
-/// JSON-lines renderers for rows that [`report`] does not carry yet.
-pub mod jsonout {
-    use respec::trace::json::JsonObject;
-
-    use super::InterpThroughputRow;
-
-    /// Interpreter-throughput rows (`BENCH_interp.json` baseline):
-    /// warp-level issues per host second, scalar vs warp-vectorized, so
-    /// interpreter changes have a perf trajectory to compare against.
-    pub fn interp_throughput_lines(rows: &[InterpThroughputRow]) -> String {
-        let mut out = String::new();
-        for r in rows {
-            out.push_str(
-                &JsonObject::new()
-                    .str("figure", "interp_throughput")
-                    .str("app", &r.app)
-                    .u64("total_issues", r.total_issues)
-                    .f64("scalar_s", r.scalar_seconds)
-                    .f64("warp_s", r.warp_seconds)
-                    .f64("scalar_ops_per_sec", r.scalar_ops_per_sec())
-                    .f64("warp_ops_per_sec", r.warp_ops_per_sec())
-                    .f64("speedup", r.speedup())
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,20 +859,5 @@ mod tests {
         let (sr, pr) = (sr.expect("tunes"), pr.expect("tunes"));
         assert_eq!(sr.best_config, pr.best_config);
         assert_eq!(sr.best_seconds.to_bits(), pr.best_seconds.to_bits());
-    }
-
-    #[test]
-    fn interp_throughput_rows_are_json_clean() {
-        let rows = interp_throughput_data(Workload::Small, 1);
-        assert!(!rows.is_empty());
-        for r in &rows {
-            assert!(r.total_issues > 0, "{} executed no instructions", r.app);
-            assert!(r.scalar_seconds > 0.0 && r.warp_seconds > 0.0);
-            assert!(r.scalar_ops_per_sec() > 0.0 && r.warp_ops_per_sec() > 0.0);
-        }
-        assert_json_lines(
-            &jsonout::interp_throughput_lines(&rows),
-            "interp_throughput",
-        );
     }
 }

@@ -7,8 +7,8 @@
 //! the same simulated time regardless of which backend measured it.
 
 use respec::opt::{coarsen_function, lower_module_to_cpu, CpuLoweringParams};
-use respec::sim::{TargetDesc, TargetModel};
-use respec::{targets, tune_kernel_pooled, CoarsenConfig, ExecMode, GpuSim, Strategy};
+use respec::sim::{ExecMode, TargetDesc, TargetModel};
+use respec::{targets, tune_kernel_pooled, CoarsenConfig, GpuSim, Strategy};
 use respec::{Trace, TuneOptions};
 use respec_bench::{compiled_module, Pipeline};
 use respec_rodinia::{all_apps_sized, all_apps_with_gemm, Workload};
@@ -112,7 +112,7 @@ fn scalar_and_vectorized_runs_are_bit_identical() {
 
 /// The traffic finding behind the lane-mask executor, pinned: every
 /// divergence the 16 Small apps produce is at a maskable `if`/`for`, so no
-/// warp falls back to scalar interpreters. A kernel that falls off the fast
+/// warp falls back to lane-by-lane execution. A kernel that falls off the fast
 /// path shows up here.
 #[test]
 fn no_small_app_despools_a_warp() {

@@ -68,8 +68,7 @@ pub use respec_frontend::KernelSpec;
 pub use respec_ir::{Diagnostic, Function, Module, Severity};
 pub use respec_opt::{CoarsenConfig, IndexingStyle};
 pub use respec_sim::{
-    targets, CpuTargetDesc, ExecMode, GpuSim, KernelArg, LaunchReport, TargetDesc, TargetKind,
-    TargetModel,
+    targets, CpuTargetDesc, GpuSim, KernelArg, LaunchReport, TargetDesc, TargetKind, TargetModel,
 };
 pub use respec_trace::{Trace, TraceSummary};
 pub use respec_tune::{

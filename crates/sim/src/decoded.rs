@@ -11,8 +11,8 @@
 //! than of a lane is settled: the arithmetic domain of a binary op
 //! ([`Num`]), the domains a cast converts between, whether a comparison is
 //! on floats, and the op's [`InstClass`] for the timing model.
-//! The warp executor turns each such choice into one specialised lane loop
-//! per warp-op; the scalar interpreter evaluates the same choice per thread.
+//! The executor turns each such choice into one specialised lane loop per
+//! warp-op, at whatever width the machine runs.
 //!
 //! Decode never fails: malformed operations (which previously panicked when
 //! driven unverified) decode into [`DecodedOp::Invalid`] carrying the error
@@ -168,8 +168,8 @@ pub(crate) struct DecodedProgram {
     /// Decoded op per `OpId` index.
     pub(crate) steps: Vec<DecodedOp>,
     /// Per region: whether the region or any transitively nested region
-    /// contains an `Alloc` (warps over such regions start in scalar mode —
-    /// allocation order must match per-lane execution).
+    /// contains an `Alloc` (warps over such regions start despooled —
+    /// allocation order must match lane-by-lane execution).
     pub(crate) region_has_alloc: Vec<bool>,
     /// Per op: an `if`/`for` whose region subtree holds no barrier, alloc,
     /// `while`, `return`, nested `parallel` or `call`. A warp that diverges
@@ -268,7 +268,6 @@ fn decode_op(func: &Function, id: respec_ir::OpId) -> DecodedOp {
         bump,
         msg: format!("malformed {what}: missing operand or result"),
     };
-    // Matches `Interp::scalar_ty`'s message for a non-scalar value.
     let not_scalar =
         |bump: bool, v: Value| bad(bump, format!("expected a scalar-typed value, got {v:?}"));
 

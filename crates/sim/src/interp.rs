@@ -1,30 +1,16 @@
-//! Resumable interpreter over the structured IR.
-//!
-//! One [`Interp`] executes one scope (host code, one block, or one thread) as
-//! an explicit machine over a frame stack, so execution can *suspend* at
-//! barriers and at parallel loops (which the launch orchestrator expands).
-//!
-//! The inner loop dispatches over a pre-decoded instruction stream
-//! ([`crate::decoded::DecodedProgram`]): operand/result slots, scalar types
-//! and region targets are resolved once per kernel, not re-derived per step.
+//! What the executor ([`crate::warp::WarpInterp`]) is built from: its
+//! errors, per-warp issue and access counters, frame stack entries, and the
+//! lane arithmetic — one lane's binary, unary, comparison and cast
+//! semantics, which the lane loops inline.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use respec_ir::{
     BinOp, CmpPred, Function, MemSpace, OpId, OpKind, RegionId, ScalarType, UnOp, Value,
 };
 
-use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Num};
-use crate::memory::DeviceMemory;
-use crate::value::{MemVal, RtVal, Store};
-
-/// Counts every `Interp` construction (`new`/`with_program`), *not*
-/// restarts. Allocation-regression tests assert that the launch loop reuses
-/// interpreters across blocks instead of rebuilding them.
-#[doc(hidden)]
-pub static INTERP_BUILDS: AtomicU64 = AtomicU64::new(0);
+use crate::decoded::Num;
+use crate::value::{MemVal, RtVal};
 
 /// Error produced by simulated execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,11 +101,11 @@ pub(crate) struct AccessRecord {
 ///
 /// The count of `op` in lane `l` is `warp[op] + lane[op][l]`: a lock-step
 /// execution at full mask bumps the one warp-level count, anything else
-/// (a partial mask, a scalar lane) the lanes it ran in. Memory accesses are
-/// kept in one of two forms. While the lock-step executor runs and every
-/// access is a whole `(op, occurrence)` group of the per-lane reference
+/// (a partial mask, a despooled lane) the lanes it ran in. Memory accesses
+/// are kept in one of two forms. While the lock-step executor runs and every
+/// access is a whole `(op, occurrence)` group of the lane-by-lane run
 /// (`commit_access` checks it), they are access records
-/// the merger accounts directly. Otherwise — scalar lanes, the sanitizer, or
+/// the merger accounts directly. Otherwise — despooled lanes, the sanitizer, or
 /// a record that would not be such a group — they are per-lane [`MemEvent`]
 /// lists the merger regroups by `(op, occurrence)`; `spill`
 /// converts the first form into the second.
@@ -201,12 +187,6 @@ impl WarpCounters {
             self.lane[op as usize * self.stride + lane] = 0;
         }
         self.events[lane].clear();
-    }
-
-    /// The counters as one scalar lane sees them.
-    pub(crate) fn lane(&mut self, lane: usize) -> LaneCounters<'_> {
-        debug_assert!(self.per_lane, "scalar lanes record events, not records");
-        LaneCounters { warp: self, lane }
     }
 
     /// Memory events of one lane (event-list form).
@@ -366,46 +346,6 @@ impl WarpCounters {
     }
 }
 
-/// One scalar lane's view of its warp's [`WarpCounters`].
-#[derive(Debug)]
-pub(crate) struct LaneCounters<'a> {
-    warp: &'a mut WarpCounters,
-    lane: usize,
-}
-
-impl LaneCounters<'_> {
-    /// One issue of `op` in this lane; returns its occurrence number.
-    #[inline]
-    pub(crate) fn bump(&mut self, op: OpId) -> u32 {
-        let c = &mut *self.warp;
-        c.touch(op.index());
-        let slot = &mut c.lane[op.index() * c.stride + self.lane];
-        *slot += 1;
-        c.warp[op.index()] + *slot - 1
-    }
-
-    /// One issue of the memory op `op` in this lane, with its event.
-    #[inline]
-    pub(crate) fn access(
-        &mut self,
-        op: OpId,
-        addr: u64,
-        bytes: u8,
-        space: MemSpace,
-        is_store: bool,
-    ) {
-        let occ = self.bump(op);
-        self.warp.events[self.lane].push(MemEvent {
-            op: op.index() as u32,
-            occ,
-            addr,
-            bytes,
-            space,
-            is_store,
-        });
-    }
-}
-
 /// Classifies an op for the timing model; `None` means "free" (constants,
 /// casts, structural terminators).
 pub(crate) fn classify(func: &Function, op: OpId) -> Option<InstClass> {
@@ -467,20 +407,6 @@ pub(crate) fn classify(func: &Function, op: OpId) -> Option<InstClass> {
     }
 }
 
-/// What happened on one interpreter step.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum StepEvent {
-    /// An ordinary operation executed.
-    Ran,
-    /// Execution reached a barrier and suspended (thread scope only).
-    Barrier,
-    /// The scope finished.
-    Done,
-    /// A nested `parallel` op was reached; the caller must expand it and
-    /// then keep stepping (the program counter already points past it).
-    Launch(OpId),
-}
-
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum FrameKind {
     Root,
@@ -508,31 +434,6 @@ pub(crate) struct Frame {
     pub(crate) kind: FrameKind,
 }
 
-/// Execution context shared by the interpreters of one scope tree.
-pub(crate) struct StepCx<'a> {
-    /// Simulated device memory.
-    pub mem: &'a mut DeviceMemory,
-    /// Value stores of enclosing scopes (innermost first).
-    pub parents: &'a [&'a Store],
-    /// The executing thread's counters; `None` for host/block scopes.
-    pub counters: Option<LaneCounters<'a>>,
-    /// Scratch allocation start: shared/local allocs performed by this scope
-    /// tree, so the launcher can release them.
-    pub record_allocs: Option<&'a mut Vec<crate::memory::BufferId>>,
-}
-
-/// A resumable interpreter for one region tree of a function.
-#[derive(Clone, Debug)]
-pub(crate) struct Interp<'f> {
-    func: &'f Function,
-    program: Arc<DecodedProgram>,
-    frames: Vec<Frame>,
-    /// Values defined by this scope.
-    pub store: Store,
-    done: bool,
-    scratch: Vec<RtVal>,
-}
-
 /// Checked integer extraction: unverified IR can bind any runtime kind to
 /// any value, so kind mismatches surface as errors, not panics.
 #[inline]
@@ -555,522 +456,6 @@ pub(crate) fn want_mem(v: RtVal) -> Result<MemVal, SimError> {
         .ok_or_else(|| SimError::new(format!("expected a memref value, found {v:?}")))
 }
 
-/// Value lookup through the scope chain (free function so callers can hold
-/// disjoint field borrows of `Interp`).
-#[inline]
-pub(crate) fn get_from(store: &Store, parents: &[&Store], v: Value) -> Result<RtVal, SimError> {
-    if let Some(val) = store.get(v) {
-        return Ok(val);
-    }
-    for p in parents {
-        if let Some(val) = p.get(v) {
-            return Ok(val);
-        }
-    }
-    Err(SimError::new(format!("use of unbound value {v:?}")))
-}
-
-impl<'f> Interp<'f> {
-    /// Creates an interpreter for `region` of `func`, decoding the function.
-    /// Region arguments must be bound into [`Interp::store`] by the caller
-    /// before stepping. Callers that drive many interpreters over one
-    /// function should decode once and share via `Interp::with_program`.
-    #[cfg(test)]
-    pub(crate) fn new(func: &'f Function, region: RegionId) -> Interp<'f> {
-        Interp::with_program(func, Arc::new(DecodedProgram::decode(func)), region)
-    }
-
-    /// Creates an interpreter over an already-decoded program.
-    pub(crate) fn with_program(
-        func: &'f Function,
-        program: Arc<DecodedProgram>,
-        region: RegionId,
-    ) -> Interp<'f> {
-        INTERP_BUILDS.fetch_add(1, Ordering::Relaxed);
-        Interp {
-            func,
-            program,
-            frames: vec![Frame {
-                region,
-                idx: 0,
-                kind: FrameKind::Root,
-            }],
-            store: Store::new(func.num_values()),
-            done: false,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Rewinds the interpreter to the start of `region`, clearing all local
-    /// bindings (for reuse across threads/blocks without reallocation).
-    pub(crate) fn restart(&mut self, region: RegionId) {
-        self.frames.clear();
-        self.frames.push(Frame {
-            region,
-            idx: 0,
-            kind: FrameKind::Root,
-        });
-        self.store.reset();
-        self.done = false;
-    }
-
-    /// Restarts the interpreter mid-execution at an arbitrary frame stack
-    /// (warp divergence despool). Local bindings are cleared; the caller
-    /// rebinds the lane's live values into [`Interp::store`].
-    pub(crate) fn adopt_frames(&mut self, frames: &[Frame]) {
-        self.frames.clear();
-        self.frames.extend_from_slice(frames);
-        self.store.reset();
-        self.done = false;
-    }
-
-    /// Returns `true` once the scope has finished.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done
-    }
-
-    #[inline]
-    fn get(&self, cx: &StepCx<'_>, v: Value) -> Result<RtVal, SimError> {
-        get_from(&self.store, cx.parents, v)
-    }
-
-    #[inline]
-    fn get_slot(&self, cx: &StepCx<'_>, s: u32) -> Result<RtVal, SimError> {
-        self.get(cx, slot_value(s))
-    }
-
-    /// Runs until the scope finishes, treating barriers and nested parallels
-    /// as errors — the mode for host-level and block-level straight-line
-    /// code outside parallel loops.
-    #[cfg(test)]
-    pub(crate) fn run_serial(&mut self, cx: &mut StepCx<'_>) -> Result<(), SimError> {
-        let program = Arc::clone(&self.program);
-        loop {
-            match self.step_in(&program, cx)? {
-                StepEvent::Ran => {}
-                StepEvent::Done => return Ok(()),
-                StepEvent::Barrier => return Err(SimError::new("barrier outside thread scope")),
-                StepEvent::Launch(_) => {
-                    return Err(SimError::new("nested parallel in serial scope"))
-                }
-            }
-        }
-    }
-
-    /// Runs until a barrier, a nested parallel, or completion.
-    pub(crate) fn run_phase(&mut self, cx: &mut StepCx<'_>) -> Result<StepEvent, SimError> {
-        let program = Arc::clone(&self.program);
-        loop {
-            match self.step_in(&program, cx)? {
-                StepEvent::Ran => {}
-                other => return Ok(other),
-            }
-        }
-    }
-
-    fn step_in(
-        &mut self,
-        program: &DecodedProgram,
-        cx: &mut StepCx<'_>,
-    ) -> Result<StepEvent, SimError> {
-        if self.done {
-            return Ok(StepEvent::Done);
-        }
-        let func = self.func;
-        let frame = *self.frames.last().expect("non-done interpreter has frames");
-        let ops = &func.region(frame.region).ops;
-        debug_assert!(frame.idx < ops.len(), "regions are terminator-closed");
-        let op_id = ops[frame.idx];
-        let decoded = &program.steps[op_id.index()];
-
-        match decoded {
-            DecodedOp::Yield { vals } => {
-                self.scratch.clear();
-                for &s in vals.iter() {
-                    let val = get_from(&self.store, cx.parents, slot_value(s))?;
-                    self.scratch.push(val);
-                }
-                let fr = self.frames.pop().expect("frame stack non-empty");
-                match fr.kind {
-                    FrameKind::Root => {
-                        self.done = true;
-                        return Ok(StepEvent::Done);
-                    }
-                    FrameKind::For {
-                        op: for_op,
-                        iv,
-                        ub,
-                        step,
-                    } => {
-                        // Loop back-edge: one branch issue.
-                        if let Some(c) = cx.counters.as_mut() {
-                            c.bump(op_id);
-                        }
-                        let next = iv + step;
-                        let body = func.op(for_op).regions[0];
-                        let args = &func.region(body).args;
-                        if next < ub {
-                            self.store.set(args[0], RtVal::Int(next));
-                            for (a, v) in args[1..].iter().zip(&self.scratch) {
-                                self.store.set(*a, *v);
-                            }
-                            self.frames.push(Frame {
-                                region: body,
-                                idx: 0,
-                                kind: FrameKind::For {
-                                    op: for_op,
-                                    iv: next,
-                                    ub,
-                                    step,
-                                },
-                            });
-                        } else {
-                            let results = &func.op(for_op).results;
-                            for (r, v) in results.iter().zip(&self.scratch) {
-                                self.store.set(*r, *v);
-                            }
-                        }
-                    }
-                    FrameKind::If { op: if_op } => {
-                        let results = &func.op(if_op).results;
-                        for (r, v) in results.iter().zip(&self.scratch) {
-                            self.store.set(*r, *v);
-                        }
-                    }
-                    FrameKind::WhileCond { .. } => {
-                        return Err(SimError::new(
-                            "while condition region must end in `condition`",
-                        ))
-                    }
-                    FrameKind::WhileBody { op: while_op } => {
-                        let cond_region = func.op(while_op).regions[0];
-                        let args = &func.region(cond_region).args;
-                        for (a, v) in args.iter().zip(&self.scratch) {
-                            self.store.set(*a, *v);
-                        }
-                        self.frames.push(Frame {
-                            region: cond_region,
-                            idx: 0,
-                            kind: FrameKind::WhileCond { op: while_op },
-                        });
-                    }
-                }
-                return Ok(StepEvent::Ran);
-            }
-            DecodedOp::Condition { flag, vals } => {
-                let flag = want_int(self.get_slot(cx, *flag)?)? != 0;
-                self.scratch.clear();
-                for &s in vals.iter() {
-                    let val = get_from(&self.store, cx.parents, slot_value(s))?;
-                    self.scratch.push(val);
-                }
-                let fr = self.frames.pop().expect("frame stack non-empty");
-                let while_op = match fr.kind {
-                    FrameKind::WhileCond { op } => op,
-                    _ => return Err(SimError::new("`condition` outside while condition region")),
-                };
-                if let Some(c) = cx.counters.as_mut() {
-                    c.bump(op_id);
-                }
-                if flag {
-                    let body = *func
-                        .op(while_op)
-                        .regions
-                        .get(1)
-                        .ok_or_else(|| SimError::new("while without a body region"))?;
-                    let args = &func.region(body).args;
-                    for (a, v) in args.iter().zip(&self.scratch) {
-                        self.store.set(*a, *v);
-                    }
-                    self.frames.push(Frame {
-                        region: body,
-                        idx: 0,
-                        kind: FrameKind::WhileBody { op: while_op },
-                    });
-                } else {
-                    let results = &func.op(while_op).results;
-                    for (r, v) in results.iter().zip(&self.scratch) {
-                        self.store.set(*r, *v);
-                    }
-                }
-                return Ok(StepEvent::Ran);
-            }
-            DecodedOp::Return => {
-                self.done = true;
-                return Ok(StepEvent::Done);
-            }
-            _ => {}
-        }
-
-        // Non-terminator: advance the program counter first so suspension
-        // resumes *after* the op.
-        self.frames.last_mut().expect("frame stack non-empty").idx += 1;
-
-        match decoded {
-            DecodedOp::Barrier => {
-                if let Some(c) = cx.counters.as_mut() {
-                    c.bump(op_id);
-                }
-                Ok(StepEvent::Barrier)
-            }
-            DecodedOp::Parallel => Ok(StepEvent::Launch(op_id)),
-            DecodedOp::For {
-                lb,
-                ub,
-                step,
-                iters,
-                body,
-            } => {
-                let lb = want_int(self.get_slot(cx, *lb)?)?;
-                let ub = want_int(self.get_slot(cx, *ub)?)?;
-                let step = want_int(self.get_slot(cx, *step)?)?;
-                if step <= 0 {
-                    return Err(SimError::new("for loop step must be positive"));
-                }
-                self.scratch.clear();
-                for &s in iters.iter() {
-                    let val = get_from(&self.store, cx.parents, slot_value(s))?;
-                    self.scratch.push(val);
-                }
-                if lb < ub {
-                    let args = &func.region(*body).args;
-                    self.store.set(args[0], RtVal::Int(lb));
-                    for (a, v) in args[1..].iter().zip(&self.scratch) {
-                        self.store.set(*a, *v);
-                    }
-                    self.frames.push(Frame {
-                        region: *body,
-                        idx: 0,
-                        kind: FrameKind::For {
-                            op: op_id,
-                            iv: lb,
-                            ub,
-                            step,
-                        },
-                    });
-                } else {
-                    let results = &func.op(op_id).results;
-                    for (r, v) in results.iter().zip(&self.scratch) {
-                        self.store.set(*r, *v);
-                    }
-                }
-                Ok(StepEvent::Ran)
-            }
-            DecodedOp::While { inits, cond } => {
-                self.scratch.clear();
-                for &s in inits.iter() {
-                    let val = get_from(&self.store, cx.parents, slot_value(s))?;
-                    self.scratch.push(val);
-                }
-                let args = &func.region(*cond).args;
-                for (a, v) in args.iter().zip(&self.scratch) {
-                    self.store.set(*a, *v);
-                }
-                self.frames.push(Frame {
-                    region: *cond,
-                    idx: 0,
-                    kind: FrameKind::WhileCond { op: op_id },
-                });
-                Ok(StepEvent::Ran)
-            }
-            DecodedOp::If {
-                cond,
-                then_r,
-                else_r,
-            } => {
-                if let Some(c) = cx.counters.as_mut() {
-                    c.bump(op_id);
-                }
-                let taken = want_int(self.get_slot(cx, *cond)?)? != 0;
-                let region = if taken { *then_r } else { *else_r }
-                    .ok_or_else(|| SimError::new("`if` without both arm regions"))?;
-                self.frames.push(Frame {
-                    region,
-                    idx: 0,
-                    kind: FrameKind::If { op: op_id },
-                });
-                Ok(StepEvent::Ran)
-            }
-            DecodedOp::Call { callee } => Err(SimError::new(format!(
-                "call to @{callee}: the simulator requires fully inlined kernels"
-            ))),
-            _ => {
-                self.exec_simple(cx, decoded, op_id)?;
-                Ok(StepEvent::Ran)
-            }
-        }
-    }
-
-    fn exec_simple(
-        &mut self,
-        cx: &mut StepCx<'_>,
-        decoded: &DecodedOp,
-        op_id: OpId,
-    ) -> Result<(), SimError> {
-        match decoded {
-            DecodedOp::ConstInt { out, value } => {
-                self.store.set(slot_value(*out), RtVal::Int(*value));
-            }
-            DecodedOp::ConstFloat { out, value } => {
-                self.store.set(slot_value(*out), RtVal::Float(*value));
-            }
-            DecodedOp::Binary { out, l, r, op, num } => {
-                if let Some(c) = cx.counters.as_mut() {
-                    c.bump(op_id);
-                }
-                let l = self.get_slot(cx, *l)?;
-                let r = self.get_slot(cx, *r)?;
-                let result = eval_binary(*op, *num, l, r)?;
-                self.store.set(slot_value(*out), result);
-            }
-            DecodedOp::Unary { out, v, op, ty } => {
-                if let Some(c) = cx.counters.as_mut() {
-                    c.bump(op_id);
-                }
-                let v = self.get_slot(cx, *v)?;
-                let result = eval_unary(*op, *ty, v)?;
-                self.store.set(slot_value(*out), result);
-            }
-            DecodedOp::Cmp {
-                out,
-                l,
-                r,
-                pred,
-                float,
-            } => {
-                if let Some(c) = cx.counters.as_mut() {
-                    c.bump(op_id);
-                }
-                let l = self.get_slot(cx, *l)?;
-                let r = self.get_slot(cx, *r)?;
-                let flag = eval_cmp(*pred, *float, l, r)?;
-                self.store.set(slot_value(*out), RtVal::Int(flag as i64));
-            }
-            DecodedOp::Select { out, c, t, f } => {
-                if let Some(cnt) = cx.counters.as_mut() {
-                    cnt.bump(op_id);
-                }
-                let flag = want_int(self.get_slot(cx, *c)?)? != 0;
-                let v = self.get_slot(cx, if flag { *t } else { *f })?;
-                self.store.set(slot_value(*out), v);
-            }
-            DecodedOp::Cast {
-                out,
-                v,
-                from_float,
-                to,
-            } => {
-                let v = self.get_slot(cx, *v)?;
-                let result = cast_value(v, *from_float, *to)?;
-                self.store.set(slot_value(*out), result);
-            }
-            DecodedOp::Alloc {
-                out,
-                elem,
-                space,
-                rank,
-                shape,
-                dyn_ops,
-            } => {
-                let mut dims = [1i64; 3];
-                let mut operand_iter = dyn_ops.iter();
-                for (d, &extent) in shape.iter().enumerate() {
-                    dims[d] = if extent < 0 {
-                        let s = *operand_iter
-                            .next()
-                            .ok_or_else(|| SimError::new("alloc missing a dynamic dim operand"))?;
-                        want_int(self.get_slot(cx, s)?)?
-                    } else {
-                        extent
-                    };
-                    if dims[d] < 0 {
-                        return Err(SimError::new("negative allocation extent"));
-                    }
-                }
-                let total: i64 = dims.iter().take((*rank).max(1)).product();
-                let buf = cx.mem.alloc(*elem, total.max(0) as usize);
-                if let Some(rec) = cx.record_allocs.as_deref_mut() {
-                    rec.push(buf);
-                }
-                self.store.set(
-                    slot_value(*out),
-                    RtVal::Mem(MemVal::new(buf, *rank as u8, dims, *space)),
-                );
-            }
-            DecodedOp::Load { out, mem, idx } => {
-                let mem = want_mem(self.get_slot(cx, *mem)?)?;
-                let mut index = [0i64; 3];
-                for (d, &s) in idx.iter().enumerate() {
-                    index[d] = want_int(self.get_slot(cx, s)?)?;
-                }
-                let flat = mem.flatten(&index[..mem.rank as usize]).ok_or_else(|| {
-                    SimError::new(format!(
-                        "out-of-bounds load at {op_id:?}: index {index:?} in {:?}",
-                        mem
-                    ))
-                })?;
-                let elem = cx.mem.elem_type(mem.buf);
-                let (f, i) = cx
-                    .mem
-                    .load_scalar(mem.buf, flat)
-                    .ok_or_else(|| SimError::new(format!("out-of-bounds load at {op_id:?}")))?;
-                let v = if elem.is_float() {
-                    RtVal::Float(f)
-                } else {
-                    RtVal::Int(i)
-                };
-                self.store.set(slot_value(*out), v);
-                if let Some(c) = cx.counters.as_mut() {
-                    let addr = cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes();
-                    c.access(op_id, addr, elem.size_bytes() as u8, mem.space, false);
-                }
-            }
-            DecodedOp::Store { val, mem, idx } => {
-                let val = self.get_slot(cx, *val)?;
-                let mem = want_mem(self.get_slot(cx, *mem)?)?;
-                let mut index = [0i64; 3];
-                for (d, &s) in idx.iter().enumerate() {
-                    index[d] = want_int(self.get_slot(cx, s)?)?;
-                }
-                let flat = mem.flatten(&index[..mem.rank as usize]).ok_or_else(|| {
-                    SimError::new(format!(
-                        "out-of-bounds store at {op_id:?}: index {index:?} in {:?}",
-                        mem
-                    ))
-                })?;
-                let elem = cx.mem.elem_type(mem.buf);
-                let (f, i) = match val {
-                    RtVal::Float(f) => (f, 0),
-                    RtVal::Int(i) => (0.0, i),
-                    RtVal::Mem(_) => return Err(SimError::new("cannot store a memref")),
-                };
-                if !cx.mem.store_scalar(mem.buf, flat, f, i) {
-                    return Err(SimError::new(format!("out-of-bounds store at {op_id:?}")));
-                }
-                if let Some(c) = cx.counters.as_mut() {
-                    let addr = cx.mem.base_addr(mem.buf) + flat as u64 * elem.size_bytes();
-                    c.access(op_id, addr, elem.size_bytes() as u8, mem.space, true);
-                }
-            }
-            DecodedOp::Dim { out, mem, index } => {
-                let mem = want_mem(self.get_slot(cx, *mem)?)?;
-                self.store
-                    .set(slot_value(*out), RtVal::Int(mem.dim(*index)));
-            }
-            DecodedOp::Invalid { bump, msg } => {
-                if *bump {
-                    if let Some(c) = cx.counters.as_mut() {
-                        c.bump(op_id);
-                    }
-                }
-                return Err(SimError::new(msg.clone()));
-            }
-            other => return Err(SimError::new(format!("unhandled op kind {other:?}"))),
-        }
-        Ok(())
-    }
-}
-
 /// `a <pred> b`. `#[inline(always)]` so that a constant `pred` folds the
 /// `match` away inside a lane loop.
 #[inline(always)]
@@ -1083,14 +468,6 @@ pub(crate) fn compare<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> bool {
         CmpPred::Gt => a > b,
         CmpPred::Ge => a >= b,
     }
-}
-
-pub(crate) fn eval_cmp(pred: CmpPred, float: bool, l: RtVal, r: RtVal) -> Result<bool, SimError> {
-    Ok(if float {
-        compare(pred, want_float(l)?, want_float(r)?)
-    } else {
-        compare(pred, want_int(l)?, want_int(r)?)
-    })
 }
 
 /// `f` rounded through `f32` when `single`.
@@ -1150,15 +527,6 @@ pub(crate) fn int_binary(b: BinOp, ty: ScalarType, a: i64, c: i64) -> Result<i64
         BinOp::Pow => return Err(SimError::new("pow on integers")),
     };
     Ok(truncate_int(wide, ty))
-}
-
-pub(crate) fn eval_binary(b: BinOp, num: Num, l: RtVal, r: RtVal) -> Result<RtVal, SimError> {
-    Ok(match num {
-        Num::Float { single } => {
-            RtVal::Float(float_binary(b, single, want_float(l)?, want_float(r)?)?)
-        }
-        Num::Int(ty) => RtVal::Int(int_binary(b, ty, want_int(l)?, want_int(r)?)?),
-    })
 }
 
 pub(crate) fn eval_unary(u: UnOp, ty: ScalarType, v: RtVal) -> Result<RtVal, SimError> {
@@ -1224,36 +592,80 @@ pub(crate) fn cast_int(i: i64, to: Num) -> RtVal {
     }
 }
 
-pub(crate) fn cast_value(v: RtVal, from_float: bool, to: Num) -> Result<RtVal, SimError> {
-    Ok(if from_float {
-        cast_float(want_float(v)?, to)
-    } else {
-        cast_int(want_int(v)?, to)
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::decoded::DecodedProgram;
+    use crate::memory::DeviceMemory;
+    use crate::value::Store;
+    use crate::warp::{WarpCx, WarpInterp, WarpPhase};
     use respec_ir::parse_function;
+
+    /// A width-one machine at the start of `region` of `func`.
+    fn machine(func: &Function, region: RegionId) -> WarpInterp<'_> {
+        let program = Arc::new(DecodedProgram::decode(func));
+        let mut w = WarpInterp::new(func, program, 1);
+        w.restart(region, 1);
+        w
+    }
+
+    /// Runs `w` to its next suspension, counting into `counters`.
+    fn phase(
+        w: &mut WarpInterp<'_>,
+        mem: &mut DeviceMemory,
+        parents: &[&Store],
+        counters: &mut WarpCounters,
+    ) -> Result<WarpPhase, SimError> {
+        let mut masked = 0;
+        let mut cx = WarpCx {
+            mem,
+            parents,
+            counters,
+            masked_branches: &mut masked,
+        };
+        w.run_phase(&mut cx)
+    }
+
+    /// Runs the body of `func` at width one to the end, binding its
+    /// parameters with `bind` first.
+    fn run_serial(
+        func: &Function,
+        mem: &mut DeviceMemory,
+        bind: impl FnOnce(&mut WarpInterp<'_>, &mut DeviceMemory),
+    ) -> Result<(), SimError> {
+        let mut w = machine(func, func.body());
+        bind(&mut w, mem);
+        let mut counters = WarpCounters::new(func.num_ops(), 1);
+        counters.reset(1, false);
+        match phase(&mut w, mem, &[], &mut counters)? {
+            WarpPhase::Done => Ok(()),
+            other => Err(SimError::new(format!("serial scope stopped: {other:?}"))),
+        }
+    }
 
     fn run_serial_func(
         src: &str,
-        bind: impl FnOnce(&Function, &mut Store, &mut DeviceMemory),
-    ) -> (DeviceMemory, Store) {
+        bind: impl FnOnce(&Function, &mut WarpInterp<'_>, &mut DeviceMemory),
+    ) -> DeviceMemory {
         let func = parse_function(src).unwrap();
         respec_ir::verify_function(&func).unwrap();
         let mut mem = DeviceMemory::new();
-        let mut interp = Interp::new(&func, func.body());
-        bind(&func, &mut interp.store, &mut mem);
-        let mut cx = StepCx {
-            mem: &mut mem,
-            parents: &[],
-            counters: None,
-            record_allocs: None,
-        };
-        interp.run_serial(&mut cx).unwrap();
-        (mem, interp.store)
+        run_serial(&func, &mut mem, |w, mem| bind(&func, w, mem)).unwrap();
+        mem
+    }
+
+    /// Binds `func`'s first parameter to a new one-element buffer of `elem`.
+    fn one_element(
+        func: &Function,
+        w: &mut WarpInterp<'_>,
+        mem: &mut DeviceMemory,
+        elem: ScalarType,
+    ) {
+        let buf = mem.alloc(elem, 1);
+        let m = RtVal::Mem(MemVal::new(buf, 1, [1, 1, 1], MemSpace::Global));
+        w.set_with(func.params()[0], |_| m);
     }
 
     #[test]
@@ -1272,12 +684,8 @@ mod tests {
   store %s, %m[%c0]
   return
 }";
-        let (mem, _) = run_serial_func(src, |func, store, mem| {
-            let buf = mem.alloc(ScalarType::I32, 1);
-            store.set(
-                func.params()[0],
-                RtVal::Mem(MemVal::new(buf, 1, [1, 1, 1], MemSpace::Global)),
-            );
+        let mem = run_serial_func(src, |func, w, mem| {
+            one_element(func, w, mem, ScalarType::I32)
         });
         assert_eq!(mem.read_i32(BufferIdHelper::id(0)), vec![45]);
     }
@@ -1315,12 +723,8 @@ mod tests {
   store %r, %m[%c0]
   return
 }";
-        let (mem, _) = run_serial_func(src, |func, store, mem| {
-            let buf = mem.alloc(ScalarType::I32, 1);
-            store.set(
-                func.params()[0],
-                RtVal::Mem(MemVal::new(buf, 1, [1, 1, 1], MemSpace::Global)),
-            );
+        let mem = run_serial_func(src, |func, w, mem| {
+            one_element(func, w, mem, ScalarType::I32)
         });
         assert_eq!(mem.read_i32(BufferIdHelper::id(0)), vec![128]);
     }
@@ -1335,12 +739,8 @@ mod tests {
   store %s, %m[%c0]
   return
 }";
-        let (mem, _) = run_serial_func(src, |func, store, mem| {
-            let buf = mem.alloc(ScalarType::F32, 1);
-            store.set(
-                func.params()[0],
-                RtVal::Mem(MemVal::new(buf, 1, [1, 1, 1], MemSpace::Global)),
-            );
+        let mem = run_serial_func(src, |func, w, mem| {
+            one_element(func, w, mem, ScalarType::F32)
         });
         // 2^24 + 1 is not representable in f32: must round back to 2^24.
         assert_eq!(mem.read_f32(BufferIdHelper::id(0)), vec![16777216.0]);
@@ -1353,14 +753,7 @@ mod tests {
         )
         .unwrap();
         let mut mem = DeviceMemory::new();
-        let mut interp = Interp::new(&func, func.body());
-        let mut cx = StepCx {
-            mem: &mut mem,
-            parents: &[],
-            counters: None,
-            record_allocs: None,
-        };
-        let err = interp.run_serial(&mut cx).unwrap_err();
+        let err = run_serial(&func, &mut mem, |_, _| {}).unwrap_err();
         assert!(err.message.contains("division by zero"));
     }
 
@@ -1381,20 +774,12 @@ mod tests {
         let func = parse_function(src).unwrap();
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc_f32(&[1.0, 2.0, 3.0, 4.0]);
-        let mut interp = Interp::new(&func, func.body());
-        interp.store.set(
-            func.params()[0],
-            RtVal::Mem(MemVal::new(buf, 1, [4, 1, 1], MemSpace::Global)),
-        );
+        let mut w = machine(&func, func.body());
+        let m = RtVal::Mem(MemVal::new(buf, 1, [4, 1, 1], MemSpace::Global));
+        w.set_with(func.params()[0], |_| m);
         let mut counters = WarpCounters::new(func.num_ops(), 1);
         counters.reset(1, true);
-        let mut cx = StepCx {
-            mem: &mut mem,
-            parents: &[],
-            counters: Some(counters.lane(0)),
-            record_allocs: None,
-        };
-        interp.run_serial(&mut cx).unwrap();
+        phase(&mut w, &mut mem, &[], &mut counters).unwrap();
         // 4 loads + 4 stores with increasing occurrence numbers.
         let loads: Vec<_> = counters.events(0).iter().filter(|e| !e.is_store).collect();
         assert_eq!(loads.len(), 4);
@@ -1421,14 +806,7 @@ mod tests {
         for src in cases {
             let func = parse_function(src).expect("parses");
             let mut mem = DeviceMemory::new();
-            let mut interp = Interp::new(&func, func.body());
-            let mut cx = StepCx {
-                mem: &mut mem,
-                parents: &[],
-                counters: None,
-                record_allocs: None,
-            };
-            let err = interp.run_serial(&mut cx).unwrap_err();
+            let err = run_serial(&func, &mut mem, |_, _| {}).unwrap_err();
             // Errors convert into the unified diagnostics currency.
             let diag: respec_ir::Diagnostic = err.into();
             assert!(diag.is_error());
@@ -1463,18 +841,14 @@ mod tests {
             func.params()[1],
             RtVal::Mem(MemVal::new(buf, 1, [1, 1, 1], MemSpace::Global)),
         );
-        let mut interp = Interp::new(&func, thread_region);
-        interp.store.set(tid, RtVal::Int(0));
-        let mut cx = StepCx {
-            mem: &mut mem,
-            parents: &[&host],
-            counters: None,
-            record_allocs: None,
-        };
-        let ev = interp.run_phase(&mut cx).unwrap();
-        assert_eq!(ev, StepEvent::Barrier);
-        let ev = interp.run_phase(&mut cx).unwrap();
-        assert_eq!(ev, StepEvent::Done);
-        assert!(interp.is_done());
+        let mut w = machine(&func, thread_region);
+        w.set_with(tid, |_| RtVal::Int(0));
+        let mut counters = WarpCounters::new(func.num_ops(), 1);
+        counters.reset(1, false);
+        let ev = phase(&mut w, &mut mem, &[&host], &mut counters).unwrap();
+        assert_eq!(ev, WarpPhase::Barrier);
+        let ev = phase(&mut w, &mut mem, &[&host], &mut counters).unwrap();
+        assert_eq!(ev, WarpPhase::Done);
+        assert!(w.is_done());
     }
 }

@@ -10,7 +10,7 @@ use respec_trace::Trace;
 
 use crate::cache::Cache;
 use crate::decoded::DecodedProgram;
-use crate::interp::{want_int, Interp, SimError, StepCx, StepEvent, WarpCounters};
+use crate::interp::{want_int, SimError, WarpCounters};
 use crate::memory::{BufferId, DeviceMemory};
 use crate::occupancy::{occupancy, BlockResources, Occupancy};
 use crate::stats::{ExecStats, WarpMerger};
@@ -70,20 +70,24 @@ impl Default for LaunchOptions {
     }
 }
 
-/// How the launcher executes the threads of a warp.
+/// How the launcher executes the threads of a warp: the reference switch of
+/// the differential tests, not a production option.
 ///
 /// Both modes are bit-identical in simulated results, statistics and timing
-/// estimates for any kernel that completes; the vectorized mode exists to
-/// make simulation — and therefore autotuning throughput — faster, with the
-/// scalar mode kept as the reference for differential testing.
+/// estimates for any kernel that completes. They differ in what the
+/// differential tests compare: masking, reconvergence, uniform folding and
+/// warp-level access records against lane-by-lane execution and the merging
+/// of per-lane events.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One scalar interpreter per thread (the reference mode).
+    /// Every warp of a block starts despooled: each lane runs on its own
+    /// width-one machine (the reference mode).
     Scalar,
     /// One lock-step machine per warp (the default). A divergent `if`/`for`
     /// with no barrier, alloc or `while` below it runs under a lane mask and
     /// reconverges at its end; any other divergence despools each lane into
-    /// a scalar interpreter for the rest of the block.
+    /// a width-one machine for the rest of the block.
     WarpVectorized,
 }
 
@@ -132,14 +136,15 @@ impl RaceRecord {
 /// How the executor ran a launch: host-side bookkeeping that lives outside
 /// [`ExecStats`] — and so outside caches, goldens and the determinism
 /// contract — because it describes the simulator, not the simulated machine.
-/// All zero in [`ExecMode::Scalar`].
+/// All zero when every warp runs lane by lane from the start (despooled lanes
+/// count no warp phases).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Lock-step warp phases run (one warp up to its next barrier or end).
     pub warp_phases: u64,
     /// Divergent `if`/`for` ops executed under a lane mask.
     pub masked_branches: u64,
-    /// Warps that fell back to per-lane scalar interpreters.
+    /// Warps that fell back to one width-one machine per lane.
     pub despooled_warps: u64,
 }
 
@@ -157,13 +162,14 @@ impl ExecCounters {
 /// simulator, not the simulated machine, and is outside the determinism
 /// contract: two identical launches report different values.
 ///
-/// What the four fields leave of a launch's wall time is the host- and
-/// block-scope interpreter and the launch bookkeeping.
+/// What the four fields leave of a launch's wall time is the host and block
+/// scopes and the launch bookkeeping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostTime {
     /// Decoding the kernel and building the interpreter scratch.
     pub setup_ns: u64,
-    /// Functional execution of the thread level: warp phases and scalar lanes.
+    /// Functional execution of the thread level: warp phases and despooled
+    /// lanes.
     pub exec_ns: u64,
     /// Merging warp phases: issue counts, coalescing, bank conflicts, caches.
     pub account_ns: u64,
@@ -275,9 +281,11 @@ impl GpuSim {
         }
     }
 
-    /// Selects scalar or warp-vectorized thread execution for subsequent
-    /// launches. Both modes are bit-identical in results, statistics and
-    /// timing. Defaults to [`ExecMode::WarpVectorized`].
+    /// Selects lane-by-lane or lock-step thread execution for subsequent
+    /// launches (the differential tests' reference switch). Both modes are
+    /// bit-identical in results, statistics and timing. Defaults to
+    /// [`ExecMode::WarpVectorized`].
+    #[doc(hidden)]
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
@@ -420,13 +428,14 @@ impl GpuSim {
                 args.len()
             )));
         }
-        // Decode the kernel once; every interpreter of this launch — host,
-        // block, per-thread scalar and per-warp vectorized — shares it.
+        // Decode the kernel once; every machine of this launch — host,
+        // block, per-warp and per-lane — shares it.
         let setup_start = Instant::now();
         let program = Arc::new(DecodedProgram::decode(func));
-        let mut host = Interp::with_program(func, Arc::clone(&program), func.body());
+        let mut host = WarpInterp::new(func, Arc::clone(&program), 1);
+        host.restart(func.body(), 1);
         for (d, p) in params[..3].iter().enumerate() {
-            host.store.set(*p, RtVal::Int(grid[d]));
+            host.set_with(*p, |_| RtVal::Int(grid[d]));
         }
         for (p, a) in params[3..].iter().zip(args) {
             let v = match *a {
@@ -439,15 +448,15 @@ impl GpuSim {
                     RtVal::Mem(MemVal::new(id, 1, [len, 1, 1], MemSpace::Global))
                 }
             };
-            host.store.set(*p, v);
+            host.set_with(*p, |_| v);
         }
 
-        // Interpreter scratch shared across every segment, block and thread
-        // of this launch: pools are allocated once and restarted, never
-        // rebuilt per block.
+        // Machines shared across every segment, block and thread of this
+        // launch: pools are allocated once and restarted, never rebuilt per
+        // block.
         let mut scratch = LaunchScratch {
             threads: ThreadScratch {
-                pool: Vec::new(),
+                lane_pool: Vec::new(),
                 counter_pool: Vec::new(),
                 warp_pool: Vec::new(),
                 merger: WarpMerger::default(),
@@ -455,43 +464,34 @@ impl GpuSim {
                 exec: ExecCounters::default(),
                 host: HostTime::default(),
             },
-            block_interp: Interp::with_program(func, program, func.body()),
+            block: WarpInterp::new(func, program, 1),
+            scope_counters: WarpCounters::new(func.num_ops(), 1),
         };
         scratch.threads.host.setup_ns = ns_since(setup_start);
 
         let mut stats = ExecStats::default();
         let mut dominant: Option<(Timing, Occupancy, u64)> = None;
         let mut total_blocks = 0u64;
-        loop {
-            let ev = {
-                let mut cx = StepCx {
-                    mem: &mut self.mem,
-                    parents: &[],
-                    counters: None,
-                    record_allocs: None,
-                };
-                host.run_phase(&mut cx)?
-            };
-            match ev {
-                StepEvent::Done => break,
-                StepEvent::Barrier => return Err(SimError::new("barrier at host level")),
-                StepEvent::Launch(par_op) => {
-                    let seg = self.run_block_parallel(
-                        func,
-                        par_op,
-                        &host.store,
-                        regs_per_thread,
-                        &mut sanitizer,
-                        &mut scratch,
-                    )?;
-                    stats.accumulate(&seg.stats);
-                    total_blocks += seg.blocks;
-                    match &dominant {
-                        Some((t, _, _)) if t.seconds >= seg.timing.seconds => {}
-                        _ => dominant = Some((seg.timing, seg.occupancy, seg.blocks)),
-                    }
-                }
-                StepEvent::Ran => unreachable!("run_phase filters Ran"),
+        while let Some(par_op) = run_scope(
+            &mut host,
+            &mut self.mem,
+            &[],
+            &mut scratch.scope_counters,
+            "barrier at host level",
+        )? {
+            let seg = self.run_block_parallel(
+                func,
+                par_op,
+                host.regs(),
+                regs_per_thread,
+                &mut sanitizer,
+                &mut scratch,
+            )?;
+            stats.accumulate(&seg.stats);
+            total_blocks += seg.blocks;
+            match &dominant {
+                Some((t, _, _)) if t.seconds >= seg.timing.seconds => {}
+                _ => dominant = Some((seg.timing, seg.occupancy, seg.blocks)),
             }
         }
         let (timing, occ) = match dominant {
@@ -633,51 +633,39 @@ impl GpuSim {
                     }
                     let sm_id = (linear % self.target.sm_count as u64) as usize;
                     let mark = self.mem.mark();
-                    scratch.block_interp.restart(block_region);
+                    let block = &mut scratch.block;
+                    block.restart(block_region, 1);
                     let ivs = [bx, by, bz];
                     for (d, a) in block_args.iter().enumerate() {
-                        scratch.block_interp.store.set(*a, RtVal::Int(ivs[d]));
+                        block.set_with(*a, |_| RtVal::Int(ivs[d]));
                     }
-                    let mut shared_allocs: Vec<BufferId> = Vec::new();
+                    // Shared memory of this block for occupancy: what the
+                    // block scope itself allocates.
+                    let mut shared_bytes = 0;
                     loop {
-                        let ev = {
-                            let mut cx = StepCx {
-                                mem: &mut self.mem,
-                                parents: &[host_store],
-                                counters: None,
-                                record_allocs: Some(&mut shared_allocs),
-                            };
-                            scratch.block_interp.run_phase(&mut cx)?
-                        };
-                        match ev {
-                            StepEvent::Done => break,
-                            StepEvent::Barrier => {
-                                return Err(SimError::new(
-                                    "barrier outside the thread-parallel loop",
-                                ))
-                            }
-                            StepEvent::Launch(thread_op) => {
-                                let tp = self.run_thread_parallel(
-                                    func,
-                                    thread_op,
-                                    host_store,
-                                    &scratch.block_interp.store,
-                                    sm_id,
-                                    &mut scratch.threads,
-                                    &mut stats,
-                                    sanitizer,
-                                )?;
-                                threads_per_block_seen = threads_per_block_seen.max(tp);
-                            }
-                            StepEvent::Ran => unreachable!("run_phase filters Ran"),
-                        }
+                        let before = self.mem.mark();
+                        let next = run_scope(
+                            &mut scratch.block,
+                            &mut self.mem,
+                            &[host_store],
+                            &mut scratch.scope_counters,
+                            "barrier outside the thread-parallel loop",
+                        )?;
+                        shared_bytes += self.mem.bytes_since(before);
+                        let Some(thread_op) = next else { break };
+                        let tp = self.run_thread_parallel(
+                            func,
+                            thread_op,
+                            host_store,
+                            scratch.block.regs(),
+                            sm_id,
+                            &mut scratch.threads,
+                            &mut stats,
+                            sanitizer,
+                        )?;
+                        threads_per_block_seen = threads_per_block_seen.max(tp);
                     }
-                    // Account shared memory of this block for occupancy.
-                    let bytes: u64 = shared_allocs
-                        .iter()
-                        .map(|&b| self.mem.len(b) as u64 * self.mem.elem_type(b).size_bytes())
-                        .sum();
-                    shared_bytes_seen = shared_bytes_seen.max(bytes);
+                    shared_bytes_seen = shared_bytes_seen.max(shared_bytes);
                     self.mem.release(mark);
                     linear += 1;
                 }
@@ -737,9 +725,10 @@ impl GpuSim {
                 .push(WarpCounters::new(func.num_ops(), warp_size));
         }
 
-        // Regions that allocate must run per-lane from the start so buffer
-        // ids are handed out in scalar order; everything else starts in
-        // lock-step and despools only on divergence a lane mask cannot carry.
+        // Regions that allocate must run per lane from the start so buffer
+        // ids are handed out in lane-by-lane order; everything else starts
+        // in lock-step and despools only on divergence a lane mask cannot
+        // carry.
         let vectorize = self.exec_mode == ExecMode::WarpVectorized
             && !scratch.program.region_has_alloc[region.index()];
 
@@ -752,45 +741,29 @@ impl GpuSim {
             ]
         };
 
-        if vectorize {
-            while scratch.warp_pool.len() < warps {
-                scratch.warp_pool.push(WarpInterp::new(
-                    func,
-                    Arc::clone(&scratch.program),
-                    warp_size,
-                ));
+        while scratch.warp_pool.len() < warps {
+            scratch.warp_pool.push(WarpInterp::new(
+                func,
+                Arc::clone(&scratch.program),
+                warp_size,
+            ));
+        }
+        for w in 0..warps {
+            let lo = w * warp_size;
+            let hi = ((w + 1) * warp_size).min(threads);
+            let warp = &mut scratch.warp_pool[w];
+            warp.restart(region, hi - lo);
+            for (d, a) in args.iter().enumerate() {
+                warp.set_with(*a, |lane| RtVal::Int(ivs_of(lo + lane)[d]));
             }
-            for w in 0..warps {
-                let lo = w * warp_size;
-                let lanes = ((w + 1) * warp_size).min(threads) - lo;
-                let wi = &mut scratch.warp_pool[w];
-                wi.restart(region, lanes);
-                for (d, a) in args.iter().enumerate() {
-                    wi.set_with(*a, |lane| RtVal::Int(ivs_of(lo + lane)[d]));
-                }
-            }
-        } else {
-            while scratch.pool.len() < threads {
-                scratch.pool.push(Interp::with_program(
-                    func,
-                    Arc::clone(&scratch.program),
-                    region,
-                ));
-            }
-            // Initialize every thread; scalar lanes count per lane.
-            for (t, interp) in scratch.pool.iter_mut().enumerate().take(threads) {
-                interp.restart(region);
-                let ivs = ivs_of(t);
-                for (d, a) in args.iter().enumerate() {
-                    interp.store.set(*a, RtVal::Int(ivs[d]));
-                }
-            }
-            for (w, counters) in scratch.counter_pool.iter_mut().enumerate().take(warps) {
-                counters.reset(((w + 1) * warp_size).min(threads) - w * warp_size, true);
+            if !vectorize {
+                // Lane by lane from the start, counted per lane.
+                scratch.counter_pool[w].reset(hi - lo, true);
+                despool(func, &scratch.program, warp, &mut scratch.lane_pool, lo..hi);
             }
         }
-        // Warps that have despooled to per-lane scalar execution (vectorized
-        // runs only; a despool lasts for the rest of the block).
+        // Warps that run lane by lane (a despool lasts for the rest of the
+        // block).
         let mut despooled = vec![!vectorize; warps];
 
         // Phase loop: run every thread to its next barrier (or completion),
@@ -807,101 +780,75 @@ impl GpuSim {
             for (w, despooled_w) in despooled.iter_mut().enumerate() {
                 let lo = w * warp_size;
                 let hi = ((w + 1) * warp_size).min(threads);
-                let counters = &mut scratch.counter_pool[w];
                 let parents: [&Store; 2] = [block_store, host_store];
-                // Runs scalar lane `t` of this warp to its next barrier.
-                let run_lane = |mem: &mut DeviceMemory,
-                                pool: &mut [Interp<'f>],
-                                counters: &mut WarpCounters,
-                                t: usize|
-                 -> Result<bool, SimError> {
-                    let mut cx = StepCx {
-                        mem,
-                        parents: &parents,
-                        counters: Some(counters.lane(t - lo)),
-                        record_allocs: None,
-                    };
-                    match pool[t].run_phase(&mut cx)? {
-                        StepEvent::Done => Ok(true),
-                        StepEvent::Barrier => Ok(false),
-                        StepEvent::Launch(_) => Err(SimError::new(
-                            "parallel loop nested inside the thread level",
-                        )),
-                        StepEvent::Ran => unreachable!("run_phase filters Ran"),
-                    }
+                let mut cx = WarpCx {
+                    mem: &mut self.mem,
+                    parents: &parents,
+                    counters: &mut scratch.counter_pool[w],
+                    masked_branches: &mut scratch.exec.masked_branches,
                 };
                 let exec_start = Instant::now();
                 if !*despooled_w {
-                    if !scratch.warp_pool[w].is_done() {
+                    let warp = &mut scratch.warp_pool[w];
+                    if !warp.is_done() {
                         // The sanitizer reads per-lane events.
-                        counters.reset(hi - lo, sanitizer.is_some());
-                        let phase = {
-                            let mut cx = WarpCx {
-                                mem: &mut self.mem,
-                                parents: &parents,
-                                counters,
-                                masked_branches: &mut scratch.exec.masked_branches,
-                            };
-                            scratch.warp_pool[w].run_phase(&mut cx)?
-                        };
+                        cx.counters.reset(hi - lo, sanitizer.is_some());
+                        let phase = warp.run_phase(&mut cx)?;
                         any_progress = true;
                         scratch.exec.warp_phases += 1;
                         match phase {
                             WarpPhase::Done => {}
                             WarpPhase::Barrier => all_done = false,
+                            WarpPhase::Launch(_) => return Err(nested_parallel()),
                             WarpPhase::Diverged => {
-                                // Despool every lane into a scalar machine —
-                                // the program counter sits *at* the divergent
-                                // op — and finish the phase per lane on top
-                                // of the counts and accesses so far.
-                                while scratch.pool.len() < hi {
-                                    scratch.pool.push(Interp::with_program(
-                                        func,
-                                        Arc::clone(&scratch.program),
-                                        region,
-                                    ));
-                                }
-                                for lane in 0..(hi - lo) {
-                                    scratch.warp_pool[w]
-                                        .despool_into(lane, &mut scratch.pool[lo + lane]);
-                                }
+                                // Despool every lane — the program counter
+                                // sits *at* the divergent op — and finish the
+                                // phase lane by lane on top of the counts and
+                                // accesses so far.
+                                cx.counters.spill();
+                                despool(
+                                    func,
+                                    &scratch.program,
+                                    warp,
+                                    &mut scratch.lane_pool,
+                                    lo..hi,
+                                );
                                 *despooled_w = true;
                                 scratch.exec.despooled_warps += 1;
-                                counters.spill();
-                                for t in lo..hi {
-                                    all_done &=
-                                        run_lane(&mut self.mem, &mut scratch.pool, counters, t)?;
+                                for lane in &mut scratch.lane_pool[lo..hi] {
+                                    all_done &= run_lane(lane, &mut cx)?;
                                 }
                             }
                         }
                         if let Some(s) = sanitizer.as_mut() {
                             for t in lo..hi {
-                                s.observe(t as u32, counters.events(t - lo));
+                                s.observe(t as u32, cx.counters.events(t - lo));
                             }
                         }
                     }
                 } else {
                     for t in lo..hi {
-                        if scratch.pool[t].is_done() {
+                        let lane = &mut scratch.lane_pool[t];
+                        if lane.is_done() {
                             continue;
                         }
-                        counters.reset_lane(t - lo);
-                        all_done &= run_lane(&mut self.mem, &mut scratch.pool, counters, t)?;
+                        cx.counters.reset_lane(t - lo);
+                        all_done &= run_lane(lane, &mut cx)?;
                         any_progress = true;
                         if let Some(s) = sanitizer.as_mut() {
-                            s.observe(t as u32, counters.events(t - lo));
+                            s.observe(t as u32, cx.counters.events(t - lo));
                         }
                     }
                 }
                 scratch.host.exec_ns += ns_since(exec_start);
                 let account_start = Instant::now();
                 // Merge this warp's phase (unconditionally, exactly like the
-                // per-thread reference loop, which also re-merges the stale
+                // lane-by-lane loop, which also re-merges the stale
                 // final-phase counters of warps that finished early).
                 scratch.merger.merge_warp_phase(
                     &scratch.program.classes,
                     &self.target,
-                    counters,
+                    &mut scratch.counter_pool[w],
                     &mut self.l1[sm_id],
                     &mut self.l2,
                     stats,
@@ -917,6 +864,64 @@ impl GpuSim {
         }
         Ok(threads as u32)
     }
+}
+
+/// Runs the width-one machine of a host or block scope to its next nested
+/// `parallel` (`Some`) or to its end (`None`); a barrier there is the error
+/// `barrier`. The scope counts into `counters`, which nobody reads.
+fn run_scope(
+    machine: &mut WarpInterp<'_>,
+    mem: &mut DeviceMemory,
+    parents: &[&Store],
+    counters: &mut WarpCounters,
+    barrier: &str,
+) -> Result<Option<OpId>, SimError> {
+    counters.reset(1, false);
+    let mut masked_branches = 0;
+    let mut cx = WarpCx {
+        mem,
+        parents,
+        counters,
+        masked_branches: &mut masked_branches,
+    };
+    match machine.run_phase(&mut cx)? {
+        WarpPhase::Done => Ok(None),
+        WarpPhase::Launch(op) => Ok(Some(op)),
+        WarpPhase::Barrier => Err(SimError::new(barrier)),
+        WarpPhase::Diverged => unreachable!("a width-one machine never diverges"),
+    }
+}
+
+/// Splits the warp of threads `lanes` into width-one machines, one per lane,
+/// in `pool[lanes]` (grown as needed): each resumes where the warp stopped
+/// and counts into its lane of the warp's counters.
+fn despool<'f>(
+    func: &'f Function,
+    program: &Arc<DecodedProgram>,
+    warp: &WarpInterp<'f>,
+    pool: &mut Vec<WarpInterp<'f>>,
+    lanes: std::ops::Range<usize>,
+) {
+    while pool.len() < lanes.end {
+        pool.push(WarpInterp::new(func, Arc::clone(program), 1));
+    }
+    for (lane, machine) in pool[lanes].iter_mut().enumerate() {
+        warp.despool_into(lane, machine);
+    }
+}
+
+/// Runs a despooled lane to its next barrier; `true` once it has finished.
+fn run_lane(lane: &mut WarpInterp<'_>, cx: &mut WarpCx<'_>) -> Result<bool, SimError> {
+    match lane.run_phase(cx)? {
+        WarpPhase::Done => Ok(true),
+        WarpPhase::Barrier => Ok(false),
+        WarpPhase::Launch(_) => Err(nested_parallel()),
+        WarpPhase::Diverged => unreachable!("a width-one machine never diverges"),
+    }
+}
+
+fn nested_parallel() -> SimError {
+    SimError::new("parallel loop nested inside the thread level")
 }
 
 fn lookup(first: &Store, rest: &[&Store], v: Value) -> Result<RtVal, SimError> {
@@ -938,17 +943,18 @@ struct Segment {
     blocks: u64,
 }
 
-/// Interpreter machinery of the thread-parallel loop, reused across every
-/// block and segment of one launch.
+/// Machines of the thread-parallel loop, reused across every block and
+/// segment of one launch.
 struct ThreadScratch<'f> {
-    /// The kernel decoded once, shared by every interpreter via `Arc`.
+    /// The kernel decoded once, shared by every machine via `Arc`.
     program: Arc<DecodedProgram>,
-    /// Scalar per-thread interpreters (grown to the widest block seen).
-    pool: Vec<Interp<'f>>,
-    /// Per-warp counters (grown to the widest block seen).
-    counter_pool: Vec<WarpCounters>,
     /// Warp lock-step machines, one per warp of the widest block seen.
     warp_pool: Vec<WarpInterp<'f>>,
+    /// Width-one machines of despooled lanes, indexed by thread (grown to the
+    /// widest despooled warp's last thread).
+    lane_pool: Vec<WarpInterp<'f>>,
+    /// Per-warp counters (grown to the widest block seen).
+    counter_pool: Vec<WarpCounters>,
     /// Warp statistics merger (per-op instruction classes precomputed once).
     merger: WarpMerger,
     /// Executor counters of this launch.
@@ -957,12 +963,14 @@ struct ThreadScratch<'f> {
     host: HostTime,
 }
 
-/// Per-launch interpreter scratch: allocated once in
-/// [`GpuSim::launch_with`], restarted everywhere else.
+/// Per-launch machines: allocated once in [`GpuSim::launch_with`],
+/// restarted everywhere else.
 struct LaunchScratch<'f> {
     threads: ThreadScratch<'f>,
-    /// Interpreter for block-scope straight-line code.
-    block_interp: Interp<'f>,
+    /// Width-one machine of the block scope.
+    block: WarpInterp<'f>,
+    /// Counters the host and block scopes count into; nothing reads them.
+    scope_counters: WarpCounters,
 }
 
 /// Shared-memory shadow state for the sanitizer: per barrier interval, the

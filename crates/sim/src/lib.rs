@@ -58,7 +58,7 @@ mod value;
 mod warp;
 
 pub use cache::{bank_conflict_factor, coalesce_sectors, Cache};
-pub use interp::{InstClass, SimError, INTERP_BUILDS};
+pub use interp::{InstClass, SimError};
 pub use launch::{
     ExecCounters, ExecMode, GpuSim, HostTime, KernelArg, KernelTiming, LaunchOptions, LaunchReport,
     RaceRecord,
@@ -69,6 +69,7 @@ pub use stats::{replay_access, ExecStats, NUM_CLASSES};
 pub use target::{CpuTargetDesc, TargetDesc, TargetKind, TargetModel, Vendor};
 pub use timing::{estimate, Timing, LAUNCH_OVERHEAD_S};
 pub use value::{MemVal, RtVal, Store};
+pub use warp::INTERP_BUILDS;
 
 /// Canonical target registry: GPU constructors (Table I), simulated CPU
 /// targets, and the one name→model lookup every consumer shares.

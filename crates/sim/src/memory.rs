@@ -87,6 +87,14 @@ impl DeviceMemory {
         }
     }
 
+    /// Bytes held by the buffers allocated after the first `count`.
+    pub(crate) fn bytes_since(&self, count: usize) -> u64 {
+        self.buffers[count..]
+            .iter()
+            .map(|b| b.data.len() as u64)
+            .sum()
+    }
+
     /// Number of elements in the buffer.
     pub fn len(&self, id: BufferId) -> usize {
         let b = &self.buffers[id.0 as usize];

@@ -135,22 +135,31 @@ impl RtVal {
 }
 
 /// A value store with O(1) bulk reset: entries written under an older epoch
-/// read as absent. One store exists per execution scope (host, block,
-/// thread).
+/// read as absent. It is the register file of one executing machine: at
+/// stride 1 (host and block scopes, one lane) a plain value store, at a
+/// warp's stride value-major, `vals[value * stride + lane]`, with one epoch
+/// per value.
 #[derive(Clone, Debug)]
 pub struct Store {
-    vals: Vec<RtVal>,
-    epochs: Vec<u32>,
-    cur: u32,
+    pub(crate) vals: Vec<RtVal>,
+    pub(crate) epochs: Vec<u32>,
+    pub(crate) cur: u32,
+    stride: usize,
 }
 
 impl Store {
     /// Creates a store for a function with `num_values` SSA values.
     pub fn new(num_values: usize) -> Store {
+        Store::with_stride(num_values, 1)
+    }
+
+    /// A register file of `stride` lanes per value.
+    pub(crate) fn with_stride(num_values: usize, stride: usize) -> Store {
         Store {
-            vals: vec![RtVal::Int(0); num_values],
+            vals: vec![RtVal::Int(0); num_values * stride],
             epochs: vec![0; num_values],
             cur: 1,
+            stride,
         }
     }
 
@@ -164,20 +173,20 @@ impl Store {
         }
     }
 
-    /// Binds a value.
+    /// Binds a value (in lane 0).
     #[inline]
     pub fn set(&mut self, v: Value, val: RtVal) {
         let i = v.index();
-        self.vals[i] = val;
+        self.vals[i * self.stride] = val;
         self.epochs[i] = self.cur;
     }
 
-    /// Reads a value bound in the current epoch.
+    /// Reads a value bound in the current epoch (its lane-0 slot).
     #[inline]
     pub fn get(&self, v: Value) -> Option<RtVal> {
         let i = v.index();
         if self.epochs[i] == self.cur {
-            Some(self.vals[i])
+            Some(self.vals[i * self.stride])
         } else {
             None
         }

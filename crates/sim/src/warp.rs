@@ -1,10 +1,13 @@
-//! Warp-vectorized interpreter: one machine steps a whole warp of lanes in
-//! lock-step through uniform operations.
+//! The executor: one machine steps a warp of lanes in lock-step through
+//! uniform operations. Every scope of a launch runs on it — a warp of the
+//! thread level at the target's warp width, and the host scope, each block
+//! scope and each lane of a despooled warp at width one.
 //!
-//! Instead of one [`Interp`] per thread re-walking the region tree, a
-//! [`WarpInterp`] keeps a *single* frame stack and a flat value-major
-//! register file `vals[value * stride + lane]`. Everything that is a
-//! property of the warp-op rather than of a lane is done once per warp-op:
+//! A [`WarpInterp`] keeps a *single* frame stack and a flat value-major
+//! register file `vals[value * stride + lane]` (a [`Store`]; at width one a
+//! plain value store, which is how child scopes read host and block values).
+//! Everything that is a property of the warp-op rather than of a lane is
+//! done once per warp-op:
 //!
 //! * **Operands** are resolved once ([`Opd`]) to a lane plane or to one
 //!   uniform value. A value not bound in the warp (kernel arguments,
@@ -20,9 +23,10 @@
 //!   load or store.
 //!
 //! Divergence is detected *before* any state is mutated: at a `for` header,
-//! an `if` condition, a `while` condition flag, and at `alloc` (allocation
-//! order must match per-lane execution), the per-lane inputs are peeked
-//! first. What happens when they disagree depends on the op:
+//! an `if` condition, a `while` condition flag, and at an `alloc` in a warp
+//! wider than one lane (allocation order must match per-lane execution), the
+//! per-lane inputs are peeked first. What happens when they disagree depends
+//! on the op:
 //!
 //! * **Maskable `if`/`for`** ([`DecodedProgram::maskable`]: no barrier,
 //!   alloc, `while`, `return`, `parallel` or `call` anywhere below the op) —
@@ -35,19 +39,21 @@
 //!   machine would.
 //! * **Anything else** — the warp reports [`WarpPhase::Diverged`] with the
 //!   program counter still pointing *at* the divergent op; the launcher
-//!   despools every lane into a scalar [`Interp`] (via
+//!   despools every lane into a width-one machine (via
 //!   [`WarpInterp::despool_into`]) which replays the op with identical
-//!   semantics, counters and memory effects. Every ancestor of a
-//!   non-maskable op is itself non-maskable, so this only ever happens at
-//!   full mask with no reconvergence pending.
+//!   semantics and memory effects, counting into its lane of the warp's
+//!   counters. Every ancestor of a non-maskable op is itself non-maskable,
+//!   so this only ever happens at full mask with no reconvergence pending.
 //!
 //! Either way stats — and therefore simulated timing — are bit-identical to
-//! scalar execution for any kernel that completes.
+//! a lane-by-lane run of the same warp for any kernel that completes. A
+//! width-one machine never diverges: it has no other lane to disagree with.
 //!
 //! The step function is monomorphised over the mask state: while the mask is
 //! full (`FULL = true`) every lane loop is the plain `0..lanes` loop, so
 //! kernels that never diverge pay nothing for the masking machinery.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use respec_ir::{BinOp, CmpPred, Function, OpId, RegionId, Value};
@@ -55,17 +61,25 @@ use respec_ir::{BinOp, CmpPred, Function, OpId, RegionId, Value};
 use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Num, Slot};
 use crate::interp::{
     cast_float, cast_int, compare, eval_unary, float_binary, int_binary, want_float, want_int,
-    want_mem, Frame, FrameKind, Interp, SimError, WarpCounters,
+    want_mem, Frame, FrameKind, SimError, WarpCounters,
 };
 use crate::memory::DeviceMemory;
-use crate::value::{RtVal, Store};
+use crate::value::{MemVal, RtVal, Store};
 
-/// Execution context for one warp phase. Mirrors `StepCx` but counts per
-/// warp; warps never record allocations (alloc despools).
+/// Counts every width-one machine built — host scope, block scope and one
+/// per despooled lane — *not* restarts. Allocation-regression tests assert
+/// that the launch loop reuses them across blocks instead of rebuilding
+/// them.
+#[doc(hidden)]
+pub static INTERP_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Execution context for one phase of a machine.
 pub(crate) struct WarpCx<'a> {
     pub(crate) mem: &'a mut DeviceMemory,
     /// Value stores of enclosing scopes (innermost first).
     pub(crate) parents: &'a [&'a Store],
+    /// The warp's counters (host and block scopes count into a scratch set
+    /// nobody reads).
     pub(crate) counters: &'a mut WarpCounters,
     /// Divergent maskable branches entered (observability only).
     pub(crate) masked_branches: &'a mut u64,
@@ -114,8 +128,11 @@ pub(crate) enum WarpPhase {
     Barrier,
     /// Lanes disagree on control flow at an op the lane mask cannot carry
     /// (or reached an `alloc`); the program counter points at that op.
-    /// Despool each lane into a scalar interpreter and continue per-lane.
+    /// Despool each lane into a width-one machine and continue per lane.
     Diverged,
+    /// A nested `parallel` was reached (host and block scopes); the caller
+    /// expands it and runs on, the program counter already past it.
+    Launch(OpId),
 }
 
 enum WarpStep {
@@ -123,6 +140,7 @@ enum WarpStep {
     Done,
     Barrier,
     Diverged,
+    Launch(OpId),
 }
 
 /// A pending reconvergence point: a divergent maskable `if`/`for` whose
@@ -159,14 +177,15 @@ pub(crate) struct WarpInterp<'f> {
     lanes: usize,
     frames: Vec<Frame>,
     /// Value-major register file: `vals[value * stride + lane]`; a uniform
-    /// value lives in its lane-0 slot.
-    vals: Vec<RtVal>,
-    /// Shared binding epochs: `epochs[value] == cur` means bound (in every
-    /// lane that was active where the value is defined).
-    epochs: Vec<u32>,
+    /// value lives in its lane-0 slot. A value is bound (in every lane that
+    /// was active where it is defined) while its epoch is current.
+    regs: Store,
     /// Per bound value: one value for every active lane (see [`Opd::Uni`]).
     uni: Vec<bool>,
-    cur: u32,
+    /// `Some(l)` while this width-one machine runs lane `l` of a despooled
+    /// warp: it counts into that lane of the warp's counters, never at the
+    /// warp level.
+    despooled_lane: Option<u32>,
     done: bool,
     /// Resolved sources of the `yield`/`for`/`while` being executed.
     srcs: Vec<Opd>,
@@ -189,16 +208,18 @@ impl<'f> WarpInterp<'f> {
         stride: usize,
     ) -> WarpInterp<'f> {
         let stride = stride.max(1);
+        if stride == 1 {
+            INTERP_BUILDS.fetch_add(1, Ordering::Relaxed);
+        }
         WarpInterp {
             func,
             program,
             stride,
             lanes: 0,
             frames: Vec::new(),
-            vals: vec![RtVal::Int(0); func.num_values() * stride],
-            epochs: vec![0; func.num_values()],
+            regs: Store::with_stride(func.num_values(), stride),
             uni: vec![false; func.num_values()],
-            cur: 0,
+            despooled_lane: None,
             done: false,
             srcs: Vec::new(),
             staged: Vec::new(),
@@ -212,19 +233,24 @@ impl<'f> WarpInterp<'f> {
     /// Rewinds the warp to the start of `region` with `lanes` active lanes,
     /// clearing all bindings without reallocating.
     pub(crate) fn restart(&mut self, region: RegionId, lanes: usize) {
+        self.rewind(
+            &[Frame {
+                region,
+                idx: 0,
+                kind: FrameKind::Root,
+            }],
+            lanes,
+            None,
+        );
+    }
+
+    fn rewind(&mut self, frames: &[Frame], lanes: usize, despooled_lane: Option<u32>) {
         debug_assert!(lanes >= 1 && lanes <= self.stride);
         self.lanes = lanes;
         self.frames.clear();
-        self.frames.push(Frame {
-            region,
-            idx: 0,
-            kind: FrameKind::Root,
-        });
-        self.cur = self.cur.wrapping_add(1);
-        if self.cur == 0 {
-            self.epochs.fill(0);
-            self.cur = 1;
-        }
+        self.frames.extend_from_slice(frames);
+        self.regs.reset();
+        self.despooled_lane = despooled_lane;
         self.done = false;
         self.reconv.clear();
         self.lane_buf.clear();
@@ -235,26 +261,34 @@ impl<'f> WarpInterp<'f> {
         self.done
     }
 
+    /// The register file; at width one, the scope's value store that child
+    /// scopes read.
+    pub(crate) fn regs(&self) -> &Store {
+        &self.regs
+    }
+
     /// Binds `v` per lane (e.g. thread ids) before stepping.
     pub(crate) fn set_with(&mut self, v: Value, mut f: impl FnMut(usize) -> RtVal) {
         let base = v.index() * self.stride;
         for lane in 0..self.lanes {
-            self.vals[base + lane] = f(lane);
+            self.regs.vals[base + lane] = f(lane);
         }
         self.stamp(v, false);
     }
 
-    /// Copies one lane's live state into a scalar interpreter. The scalar
-    /// machine resumes with the same frame stack — its program counter at
-    /// the op the warp stopped on — and every epoch-current value bound.
-    /// Only valid at full mask, which is the only place a warp diverges.
-    pub(crate) fn despool_into(&self, lane: usize, target: &mut Interp<'f>) {
+    /// Copies one lane's live state into a width-one machine, which then
+    /// counts into that lane of this warp's counters. It resumes with the
+    /// same frame stack — its program counter at the op the warp stopped
+    /// on — and every epoch-current value bound. Only valid at full mask,
+    /// which is the only place a warp diverges.
+    pub(crate) fn despool_into(&self, lane: usize, target: &mut WarpInterp<'f>) {
         debug_assert!(self.reconv.is_empty(), "despool under a partial mask");
-        target.adopt_frames(&self.frames);
-        for (v, &e) in self.epochs.iter().enumerate() {
-            if e == self.cur {
+        debug_assert_eq!(target.stride, 1, "a lane despools into a width-one machine");
+        target.rewind(&self.frames, 1, Some(lane as u32));
+        for (v, &e) in self.regs.epochs.iter().enumerate() {
+            if e == self.regs.cur {
                 let at = v * self.stride + if self.uni[v] { 0 } else { lane };
-                target.store.set(Value::from_index(v), self.vals[at]);
+                target.def_uniform(Value::from_index(v), self.regs.vals[at]);
             }
         }
     }
@@ -280,13 +314,15 @@ impl<'f> WarpInterp<'f> {
     }
 
     /// One issue of `op` by the warp: one warp-level count at full mask, one
-    /// per active lane otherwise.
+    /// per active lane otherwise (a despooled lane: its own).
     #[inline(always)]
     fn bump<const FULL: bool>(&self, counters: &mut WarpCounters, op: OpId) {
-        if FULL {
-            counters.bump_warp(op);
-        } else {
+        if !FULL {
             counters.bump_lanes(op, &self.lane_buf[self.act.0..self.act.1]);
+        } else if let Some(lane) = &self.despooled_lane {
+            counters.bump_lanes(op, std::slice::from_ref(lane));
+        } else {
+            counters.bump_warp(op);
         }
     }
 
@@ -302,10 +338,10 @@ impl<'f> WarpInterp<'f> {
         want: impl Fn(RtVal) -> Result<T, SimError>,
     ) -> Result<Opd<T>, SimError> {
         let v = slot as usize;
-        if self.epochs[v] == self.cur {
+        if self.regs.epochs[v] == self.regs.cur {
             let base = v * self.stride;
             return Ok(if self.uni[v] {
-                Opd::Uni(want(self.vals[base])?)
+                Opd::Uni(want(self.regs.vals[base])?)
             } else {
                 Opd::Plane(base)
             });
@@ -335,7 +371,7 @@ impl<'f> WarpInterp<'f> {
         want: impl Fn(RtVal) -> Result<T, SimError>,
     ) -> Result<T, SimError> {
         match o {
-            Opd::Plane(base) => want(self.vals[base + lane]),
+            Opd::Plane(base) => want(self.regs.vals[base + lane]),
             Opd::Uni(v) => Ok(v),
         }
     }
@@ -343,7 +379,7 @@ impl<'f> WarpInterp<'f> {
     #[inline(always)]
     fn rd(&self, o: Opd, lane: usize) -> RtVal {
         match o {
-            Opd::Plane(base) => self.vals[base + lane],
+            Opd::Plane(base) => self.regs.vals[base + lane],
             Opd::Uni(v) => v,
         }
     }
@@ -352,11 +388,11 @@ impl<'f> WarpInterp<'f> {
     #[inline]
     fn stamp(&mut self, v: Value, uniform: bool) {
         self.uni[v.index()] = uniform;
-        self.epochs[v.index()] = self.cur;
+        self.regs.epochs[v.index()] = self.regs.cur;
     }
 
     fn def_uniform(&mut self, v: Value, val: RtVal) {
-        self.vals[v.index() * self.stride] = val;
+        self.regs.vals[v.index() * self.stride] = val;
         self.stamp(v, true);
     }
 
@@ -376,7 +412,7 @@ impl<'f> WarpInterp<'f> {
         for i in 0..n {
             let lane = self.lane_at::<FULL>(i);
             let val = f(self, lane)?;
-            self.vals[base + if uniform { 0 } else { lane }] = val;
+            self.regs.vals[base + if uniform { 0 } else { lane }] = val;
         }
         self.stamp(slot_value(out), uniform);
         Ok(())
@@ -419,7 +455,7 @@ impl<'f> WarpInterp<'f> {
     }
 
     /// Binds `srcs` to `targets` in every active lane, truncating to the
-    /// shorter list exactly like the scalar interpreter's `zip`: planes are
+    /// shorter list as a `zip` does: planes are
     /// copied plane to plane, a uniform source makes its target uniform.
     fn bind<const FULL: bool>(&mut self, targets: &[Value]) {
         let n = targets.len().min(self.srcs.len());
@@ -438,12 +474,12 @@ impl<'f> WarpInterp<'f> {
         for (k, &t) in targets[..n].iter().enumerate() {
             let to = t.index() * self.stride;
             match self.srcs[k] {
-                Opd::Uni(val) => self.vals[to] = val,
-                Opd::Plane(from) if FULL => self.vals.copy_within(from..from + self.lanes, to),
+                Opd::Uni(val) => self.regs.vals[to] = val,
+                Opd::Plane(from) if FULL => self.regs.vals.copy_within(from..from + self.lanes, to),
                 Opd::Plane(from) => {
                     for i in 0..self.width::<FULL>() {
                         let lane = self.lane_at::<FULL>(i);
-                        self.vals[to + lane] = self.vals[from + lane];
+                        self.regs.vals[to + lane] = self.regs.vals[from + lane];
                     }
                 }
             }
@@ -461,7 +497,7 @@ impl<'f> WarpInterp<'f> {
             self.staged.push(self.rd(self.srcs[k], lane));
         }
         for (&t, &val) in targets.iter().zip(&self.staged) {
-            self.vals[t.index() * self.stride + lane] = val;
+            self.regs.vals[t.index() * self.stride + lane] = val;
         }
     }
 
@@ -480,7 +516,7 @@ impl<'f> WarpInterp<'f> {
         let v0 = want_int(self.rd(o, self.lane_at::<FULL>(0)))?;
         if let Opd::Plane(base) = o {
             for i in 1..self.width::<FULL>() {
-                match self.vals[base + self.lane_at::<FULL>(i)].try_int() {
+                match self.regs.vals[base + self.lane_at::<FULL>(i)].try_int() {
                     Some(v) if v == v0 => {}
                     _ => return Ok(None),
                 }
@@ -517,6 +553,7 @@ impl<'f> WarpInterp<'f> {
                 WarpStep::Done => return Ok(WarpPhase::Done),
                 WarpStep::Barrier => return Ok(WarpPhase::Barrier),
                 WarpStep::Diverged => return Ok(WarpPhase::Diverged),
+                WarpStep::Launch(op) => return Ok(WarpPhase::Launch(op)),
             }
         }
     }
@@ -611,7 +648,7 @@ impl<'f> WarpInterp<'f> {
             }
             if lb < ub {
                 self.loop_state[state + 3 * lane..][..3].copy_from_slice(&[lb, ub, step]);
-                self.vals[args[0].index() * self.stride + lane] = RtVal::Int(lb);
+                self.regs.vals[args[0].index() * self.stride + lane] = RtVal::Int(lb);
                 self.bind_lane(&args[1..], lane);
                 self.lane_buf.push(lane as u32);
             } else {
@@ -694,7 +731,7 @@ impl<'f> WarpInterp<'f> {
                     let next = self.loop_state[s] + self.loop_state[s + 2];
                     if next < self.loop_state[s + 1] {
                         self.loop_state[s] = next;
-                        self.vals[args[0].index() * self.stride + lane] = RtVal::Int(next);
+                        self.regs.vals[args[0].index() * self.stride + lane] = RtVal::Int(next);
                         self.bind_lane(&args[1..], lane);
                         self.lane_buf[keep] = lane as u32;
                         keep += 1;
@@ -829,7 +866,7 @@ impl<'f> WarpInterp<'f> {
                 return Ok(WarpStep::Done);
             }
             // Divergence checkpoints: lanes are compared *before* the program
-            // counter advances, so a scalar replay re-executes the op.
+            // counter advances, so a despooled lane re-executes the op.
             DecodedOp::For {
                 lb,
                 ub,
@@ -884,23 +921,24 @@ impl<'f> WarpInterp<'f> {
                 else_r,
             } => {
                 // Uniform means every active lane holds an integer of the
-                // same truthiness; anything else takes the per-lane path,
-                // which surfaces a bad lane's own error.
+                // same truthiness as the first; a bad first lane is an error
+                // here, another bad lane takes the per-lane path, which
+                // surfaces that lane's own error.
                 let cond = self.opd(cx.parents, *cond)?;
                 let truth = |w: &Self, i: usize| {
                     let v = w.rd(cond, w.lane_at::<FULL>(i));
                     v.try_int().map(|v| v != 0)
                 };
-                let taken = truth(self, 0);
-                let uniform =
-                    cond.is_uniform() || (1..self.width::<FULL>()).all(|i| truth(self, i) == taken);
-                let Some(taken) = taken.filter(|_| uniform) else {
+                let taken = want_int(self.rd(cond, self.lane_at::<FULL>(0)))? != 0;
+                let uniform = cond.is_uniform()
+                    || (1..self.width::<FULL>()).all(|i| truth(self, i) == Some(taken));
+                if !uniform {
                     if !program.maskable[op_id.index()] {
                         return self.diverge::<FULL>(op_id);
                     }
                     self.frames.last_mut().expect("frame stack non-empty").idx += 1;
                     return self.enter_masked_if::<FULL>(cx, op_id, cond, (*then_r, *else_r));
-                };
+                }
                 self.frames.last_mut().expect("frame stack non-empty").idx += 1;
                 self.bump::<FULL>(cx.counters, op_id);
                 let region = if taken { *then_r } else { *else_r }
@@ -912,8 +950,8 @@ impl<'f> WarpInterp<'f> {
                 });
                 return Ok(WarpStep::Ran);
             }
-            DecodedOp::Alloc { .. } => {
-                // Allocation order must match scalar lane-major execution;
+            DecodedOp::Alloc { .. } if self.lanes > 1 => {
+                // Allocation order must match lane-by-lane execution;
                 // nothing has been allocated lock-step up to here, so the
                 // despooled lanes reproduce it exactly.
                 return self.diverge::<FULL>(op_id);
@@ -933,10 +971,36 @@ impl<'f> WarpInterp<'f> {
                 self.bump::<FULL>(cx.counters, op_id);
                 return Ok(WarpStep::Barrier);
             }
-            DecodedOp::Parallel => {
-                return Err(SimError::new(
-                    "parallel loop nested inside the thread level",
-                ))
+            DecodedOp::Parallel => return Ok(WarpStep::Launch(op_id)),
+            DecodedOp::Alloc {
+                out,
+                elem,
+                space,
+                rank,
+                shape,
+                dyn_ops,
+            } => {
+                // One lane: allocate in place.
+                let mut dims = [1i64; 3];
+                let mut dyn_ops = dyn_ops.iter();
+                for (d, &extent) in shape.iter().enumerate() {
+                    dims[d] = if extent < 0 {
+                        let s = *dyn_ops
+                            .next()
+                            .ok_or_else(|| SimError::new("alloc missing a dynamic dim operand"))?;
+                        let n = self.typed(cx.parents, s, want_int)?;
+                        self.at(n, 0, want_int)?
+                    } else {
+                        extent
+                    };
+                    if dims[d] < 0 {
+                        return Err(SimError::new("negative allocation extent"));
+                    }
+                }
+                let total: i64 = dims.iter().take((*rank).max(1)).product();
+                let buf = cx.mem.alloc(*elem, total.max(0) as usize);
+                let mem = MemVal::new(buf, *rank as u8, dims, *space);
+                self.def_uniform(slot_value(*out), RtVal::Mem(mem));
             }
             DecodedOp::While { inits, cond } => {
                 self.resolve(cx.parents, inits)?;
@@ -1023,8 +1087,7 @@ impl<'f> WarpInterp<'f> {
                 }
                 return Err(SimError::new(msg.clone()));
             }
-            DecodedOp::Alloc { .. }
-            | DecodedOp::For { .. }
+            DecodedOp::For { .. }
             | DecodedOp::If { .. }
             | DecodedOp::Yield { .. }
             | DecodedOp::Condition { .. }
@@ -1120,6 +1183,8 @@ impl<'f> WarpInterp<'f> {
         // every lane receives it, and every lane is in the access.
         let uniform = store.is_none() && mem.is_uniform() && index.iter().all(Opd::is_uniform);
         let base = out as usize * self.stride;
+        // A despooled lane is lane 0 here and its own lane in the counters.
+        let counter_lane = self.despooled_lane.unwrap_or(0) as usize;
         let start = cx.counters.begin_access();
         let mut entry = (0, 0, respec_ir::MemSpace::Global);
         for i in 0..self.width::<FULL>() {
@@ -1140,11 +1205,12 @@ impl<'f> WarpInterp<'f> {
                 match store {
                     None => {
                         let (f, i) = buf.load(flat).ok_or_else(oob)?;
-                        self.vals[base + if uniform { 0 } else { lane }] = if buf.elem.is_float() {
-                            RtVal::Float(f)
-                        } else {
-                            RtVal::Int(i)
-                        };
+                        self.regs.vals[base + if uniform { 0 } else { lane }] =
+                            if buf.elem.is_float() {
+                                RtVal::Float(f)
+                            } else {
+                                RtVal::Int(i)
+                            };
                     }
                     Some(val) => {
                         let (f, i) = match self.rd(val, lane) {
@@ -1160,10 +1226,12 @@ impl<'f> WarpInterp<'f> {
                 let bytes = buf.elem.size_bytes();
                 entry = (buf.base_addr + flat as u64 * bytes, bytes as u8, m.space);
             }
-            cx.counters.push_lane(lane, entry.0, entry.1, entry.2);
+            cx.counters
+                .push_lane(counter_lane + lane, entry.0, entry.1, entry.2);
         }
+        let warp_level = FULL && self.despooled_lane.is_none();
         cx.counters
-            .commit_access(op_id, store.is_some(), start, FULL);
+            .commit_access(op_id, store.is_some(), start, warp_level);
         if store.is_none() {
             self.stamp(slot_value(out), uniform);
         }

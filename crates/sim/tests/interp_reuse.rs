@@ -1,5 +1,6 @@
-//! Allocation-regression test: the launch loop must reuse interpreters
-//! across blocks and segments instead of rebuilding them per block.
+//! Allocation-regression test: the launch loop must reuse its width-one
+//! machines (host scope, block scope, despooled lanes) across blocks and
+//! segments instead of rebuilding them per block.
 //!
 //! This lives in its own integration-test binary so [`INTERP_BUILDS`] — a
 //! process-global counter — is not perturbed by unrelated tests running
@@ -36,8 +37,8 @@ const SAXPY: &str = "func @saxpy(%gx: index, %gy: index, %gz: index, %y: memref<
   return
 }";
 
-/// Launches saxpy over `blocks` full blocks and returns how many `Interp`s
-/// were constructed for the launch.
+/// Launches saxpy over `blocks` full blocks and returns how many width-one
+/// machines were constructed for the launch.
 fn builds_for(blocks: i64, mode: ExecMode) -> u64 {
     builds_for_n(blocks, (blocks * 256) as usize, mode)
 }
@@ -74,12 +75,12 @@ fn interpreter_builds_are_independent_of_block_count() {
         one, many,
         "scalar pool must be built once and restarted per block"
     );
-    // Host + block interpreters plus one scalar interpreter per thread of
-    // the widest block.
+    // Host + block machines plus one width-one machine per thread of the
+    // widest block: every warp runs lane by lane.
     assert_eq!(one, 2 + 256);
 
-    // Uniform control flow in warp mode needs no per-thread interpreters at
-    // all: only the host and block scopes are scalar.
+    // Uniform control flow in warp mode needs no per-thread machines at
+    // all: only the host and block scopes run at width one.
     let warp = builds_for(16, ExecMode::WarpVectorized);
     assert_eq!(warp, 2, "uniform warps must not despool");
 
