@@ -5,7 +5,7 @@
 //! shared memory becomes core-local scratch — but every output element is
 //! still produced by the same arithmetic on the same inputs in the same
 //! barrier-delimited phase order. So for every Rodinia app the lowered
-//! module must produce *bit-identical* outputs on the CPU projection of
+//! module must produce *bit-identical* outputs on a CPU descriptor in
 //! the simulator, and the lowered IR must pass the static race/divergence
 //! gate (the fission is only legal because the kernels are race-free).
 

@@ -53,7 +53,7 @@ fn machines() -> Vec<Machine> {
             cpu_lanes: None,
         },
         Machine {
-            desc: cpu.sim_desc(),
+            desc: cpu.clone(),
             shapes: ends(),
             cpu_lanes: Some(i64::from(cpu.exec_width())),
         },
@@ -121,7 +121,7 @@ fn no_small_app_despools_a_warp() {
     for app in all_apps_with_gemm(Workload::Small) {
         let module = compiled_module(app.as_ref(), Pipeline::PolygeistNoOpt);
         let lowered = lower_module_to_cpu(&module, &CpuLoweringParams { lanes });
-        for (desc, module) in [(targets::a100(), &module), (cpu.sim_desc(), &lowered)] {
+        for (desc, module) in [(targets::a100(), &module), (cpu.clone(), &lowered)] {
             let mut sim = GpuSim::new(desc);
             app.run(&mut sim, module).expect("app runs");
             let exec = sim.exec_counters();

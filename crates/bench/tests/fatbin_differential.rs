@@ -204,7 +204,7 @@ fn never_seen_target_resolves_by_nearest_neighbor_features() {
     // never leak across the divide to a (feature-closer) GPU.
     let mut cpu = targets::cpu_desktop8();
     cpu.name = "CPU Desktop 12c AVX2";
-    cpu.cores = 12;
+    cpu.sm_count = 12;
     let d = fat
         .dispatch(&cpu)
         .expect("synthetic CPU resolves via nearest neighbor");

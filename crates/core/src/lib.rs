@@ -68,7 +68,7 @@ pub use respec_frontend::KernelSpec;
 pub use respec_ir::{Diagnostic, Function, Module, Severity};
 pub use respec_opt::{CoarsenConfig, IndexingStyle};
 pub use respec_sim::{
-    targets, CpuTargetDesc, GpuSim, KernelArg, LaunchReport, TargetDesc, TargetKind, TargetModel,
+    targets, GpuSim, KernelArg, LaunchReport, TargetDesc, TargetKind, TargetModel,
 };
 pub use respec_trace::{Trace, TraceSummary};
 pub use respec_tune::{
@@ -80,9 +80,9 @@ pub use respec_tune::{
 /// `use respec::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        targets, CoarsenConfig, Compiled, Compiler, CpuTargetDesc, Diagnostic, Error, FatCompiled,
-        GpuSim, KernelArg, LaunchReport, Severity, Strategy, TargetDesc, TargetKind, TargetModel,
-        Trace, TuneOptions, TuneResult, TuningCache,
+        targets, CoarsenConfig, Compiled, Compiler, Diagnostic, Error, FatCompiled, GpuSim,
+        KernelArg, LaunchReport, Severity, Strategy, TargetDesc, TargetKind, TargetModel, Trace,
+        TuneOptions, TuneResult, TuningCache,
     };
 }
 
@@ -211,11 +211,11 @@ impl Compiler {
         self
     }
 
-    /// Selects the target model (see [`targets`]). Retargeting a CUDA
-    /// program to AMD is nothing more than picking an AMD descriptor here —
-    /// and retargeting it to a multicore CPU is picking a
-    /// [`CpuTargetDesc`]: any [`TargetModel`] implementation binds.
-    pub fn target(mut self, target: impl TargetModel + 'static) -> Compiler {
+    /// Selects the target (see [`targets`]). Retargeting a CUDA program to
+    /// AMD is nothing more than picking an AMD descriptor here — and
+    /// retargeting it to a multicore CPU is picking a CPU descriptor such
+    /// as [`targets::cpu_desktop8`].
+    pub fn target(mut self, target: TargetDesc) -> Compiler {
         self.target = Some(Arc::new(target));
         self
     }
@@ -368,7 +368,7 @@ impl Compiler {
 pub struct Compiled {
     /// The compiled module (host + device in one unit, as in the paper).
     pub module: Module,
-    /// The bound target model (a GPU [`TargetDesc`] or a [`CpuTargetDesc`]).
+    /// The bound target model (a GPU or CPU [`TargetDesc`]).
     pub target: Arc<dyn TargetModel>,
     /// The trace handle events were recorded into (disabled unless the
     /// builder was given one via [`Compiler::with_trace`]).
@@ -392,8 +392,7 @@ impl Compiled {
     }
 
     /// Creates a fresh simulator for the bound target, recording into the
-    /// same trace as compilation (if one is attached). CPU targets get the
-    /// cores × SIMD-lanes projection of the machine.
+    /// same trace as compilation (if one is attached).
     pub fn simulator(&self) -> GpuSim {
         let mut sim = GpuSim::for_model(self.target.as_ref());
         sim.set_trace(self.trace.clone());

@@ -37,7 +37,7 @@ pub mod scheduler;
 pub mod server;
 pub mod wire;
 
-pub use registry::{target_by_name, PreparedApp, Registry, TARGET_NAMES};
+pub use registry::{PreparedApp, Registry, TARGET_NAMES};
 pub use scheduler::{JobKey, Scheduler, Submit, TuneJob, TuneOutcome};
 pub use server::{ServeConfig, Server, ServerStats};
 pub use wire::{

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use respec_bench::{compiled_module, Pipeline};
 use respec_ir::{structural_hash, Function, Module};
 use respec_rodinia::{all_apps_sized, App, Workload};
-use respec_sim::{targets, TargetModel};
 
 /// One workload, fully prepared for tuning.
 pub struct PreparedApp {
@@ -93,13 +92,6 @@ impl Registry {
     }
 }
 
-/// Resolves a target by its short protocol name — a thin alias over the
-/// canonical registry [`respec_sim::targets::by_name`], which covers the
-/// four GPUs of Table I *and* the simulated CPU targets.
-pub fn target_by_name(name: &str) -> Option<Arc<dyn TargetModel>> {
-    targets::by_name(name)
-}
-
 /// Short protocol names of every registered target (GPUs, then CPUs).
 pub use respec_sim::targets::TARGET_NAMES;
 
@@ -118,15 +110,5 @@ mod tests {
             assert!(prepared.block_dims.iter().all(|&d| d >= 1));
         }
         assert!(registry.app("nonexistent").is_none());
-    }
-
-    #[test]
-    fn every_protocol_target_resolves() {
-        assert_eq!(TARGET_NAMES.len(), 6, "four GPUs plus two CPU targets");
-        for name in TARGET_NAMES {
-            let target = target_by_name(name).expect("registered target");
-            assert!(target.fingerprint() != 0);
-        }
-        assert!(target_by_name("h100").is_none());
     }
 }

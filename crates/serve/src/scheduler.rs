@@ -284,7 +284,7 @@ mod tests {
     use std::sync::mpsc::channel;
     use std::sync::OnceLock;
 
-    use crate::registry::{target_by_name, Registry};
+    use crate::registry::Registry;
 
     fn registry() -> &'static Registry {
         static REGISTRY: OnceLock<Registry> = OnceLock::new();
@@ -293,7 +293,7 @@ mod tests {
 
     fn job(client: &str, key_salt: u64) -> TuneJob {
         let app = registry().app("gaussian").expect("registered");
-        let target = target_by_name("a100").expect("registered");
+        let target = respec_sim::targets::by_name("a100").expect("registered");
         let configs = respec_tune::candidate_configs(Strategy::Combined, &[1, 2], &app.block_dims);
         TuneJob {
             key: JobKey {

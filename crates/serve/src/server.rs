@@ -36,12 +36,13 @@ use std::time::{Duration, Instant};
 
 use respec_cache::TuningCache;
 use respec_rodinia::Workload;
+use respec_sim::targets;
 use respec_trace::json::JsonObject;
 use respec_trace::Trace;
 use respec_tune::{candidate_configs, tune_kernel_pooled, TuneOptions};
 
 use crate::events::{ConnWriter, EventHub};
-use crate::registry::{target_by_name, Registry, TARGET_NAMES};
+use crate::registry::{Registry, TARGET_NAMES};
 use crate::scheduler::{JobKey, Scheduler, Submit, TuneJob, TuneOutcome};
 use crate::wire::{
     codes, error_response, hex64, ok_response, parse_request, read_line_capped, Envelope, LineRead,
@@ -523,7 +524,7 @@ fn dispatch(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, conn_id: u64, env: E
                     .send_line(&error_response(Some("compile"), id, &err))
                     .is_ok();
             };
-            let Some(desc) = target_by_name(&target) else {
+            let Some(desc) = targets::by_name(&target) else {
                 let err = WireError::new(codes::UNKNOWN_TARGET, format!("no target {target:?}"));
                 return writer
                     .send_line(&error_response(Some("compile"), id, &err))
@@ -554,7 +555,7 @@ fn dispatch(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, conn_id: u64, env: E
                     .send_line(&error_response(Some("tune"), id, &err))
                     .is_ok();
             };
-            let Some(desc) = target_by_name(&target) else {
+            let Some(desc) = targets::by_name(&target) else {
                 let err = WireError::new(codes::UNKNOWN_TARGET, format!("no target {target:?}"));
                 return writer
                     .send_line(&error_response(Some("tune"), id, &err))

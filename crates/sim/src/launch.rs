@@ -252,10 +252,10 @@ pub struct KernelTiming {
 
 impl GpuSim {
     /// Creates a simulator for any target model, GPU or CPU: the model's
-    /// [`crate::TargetModel::sim_desc`] projection supplies the machine description
-    /// the decoded-op interpreter and timing model run against.
+    /// [`crate::TargetModel::desc`] is the machine the executor and timing
+    /// model run against.
     pub fn for_model(model: &dyn crate::TargetModel) -> GpuSim {
-        GpuSim::new(model.sim_desc())
+        GpuSim::new(model.desc().clone())
     }
 
     /// Creates a simulator for the given target.

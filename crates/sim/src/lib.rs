@@ -66,7 +66,7 @@ pub use launch::{
 pub use memory::{BufferId, DeviceMemory};
 pub use occupancy::{occupancy, BlockResources, Infeasible, Limiter, Occupancy};
 pub use stats::{replay_access, ExecStats, NUM_CLASSES};
-pub use target::{CpuTargetDesc, TargetDesc, TargetKind, TargetModel, Vendor};
+pub use target::{TargetDesc, TargetKind, TargetModel, Vendor};
 pub use timing::{estimate, Timing, LAUNCH_OVERHEAD_S};
 pub use value::{MemVal, RtVal, Store};
 pub use warp::INTERP_BUILDS;

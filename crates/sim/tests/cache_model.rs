@@ -61,7 +61,10 @@ impl Reference {
 fn geometries() -> Vec<(u64, u64, usize)> {
     let mut geoms = Vec::new();
     for name in targets::TARGET_NAMES {
-        let t = targets::by_name(name).expect("registry name").sim_desc();
+        let t = targets::by_name(name)
+            .expect("registry name")
+            .desc()
+            .clone();
         geoms.push((t.l1_bytes, 32, 8));
         geoms.push((t.l2_bytes, 32, 16));
     }

@@ -285,7 +285,7 @@ fn eight_lane_cpu_width_warps_mask_correctly() {
     let n = 20; // two full 8-lane warps and a ragged one of 4
     let a: Vec<i32> = (0..n).map(|i| i % 2).collect();
     let b: Vec<i32> = (0..n).map(|i| (i * 5) % 8).collect();
-    let (out, exec) = differential(&kernel(n as usize, NESTED), &cpu.sim_desc(), &a, &b);
+    let (out, exec) = differential(&kernel(n as usize, NESTED), &cpu, &a, &b);
     assert_eq!(out, nested_want(&a, &b));
     assert_masked(exec);
 }
@@ -665,11 +665,7 @@ fn nested_mem_want(a: &[i32], b: &[i32]) -> Vec<i32> {
 fn ragged_last_warp_with_masked_memory_on_three_widths() {
     let cpu = targets::cpu_server64();
     assert_eq!(cpu.exec_width(), 16);
-    for (target, width) in [
-        (cpu.sim_desc(), 16),
-        (targets::a100(), 32),
-        (targets::mi210(), 64),
-    ] {
+    for (target, width) in [(cpu, 16), (targets::a100(), 32), (targets::mi210(), 64)] {
         // One full warp and a ragged one of a quarter of the width.
         let n = width + width / 4;
         let a: Vec<i32> = (0..n).map(|i| (i + 1) % 4).collect();
@@ -732,7 +728,7 @@ proptest! {
         let target = match which {
             0 => targets::a100(),
             1 => targets::mi210(),
-            _ => targets::cpu_desktop8().sim_desc(),
+            _ => targets::cpu_desktop8(),
         };
         let (a, b): (Vec<i32>, Vec<i32>) = lanes.into_iter().unzip();
         let func = kernel(a.len(), NESTED);
@@ -753,7 +749,7 @@ proptest! {
         let target = match which {
             0 => targets::a100(),
             1 => targets::mi210(),
-            _ => targets::cpu_desktop8().sim_desc(),
+            _ => targets::cpu_desktop8(),
         };
         let (a, b): (Vec<i32>, Vec<i32>) = lanes.into_iter().unzip();
         let func = kernel_in(a.len(), SHARED, NESTED_MEM);

@@ -733,7 +733,7 @@ mod tests {
         // The one `tune_kernel_pooled` entry point searches CPU configurations:
         // the engine notices `TargetKind::Cpu`, lowers every coarsened version
         // through the GPU-to-CPU pass, and the runner executes the lowered IR
-        // on the CPU projection of the simulator.
+        // on the simulator against the CPU descriptor.
         let func = parse_function(KERNEL).unwrap();
         let cpu = targets::cpu_desktop8();
         let configs = candidate_configs(Strategy::Combined, &[1, 2, 4], &[64, 1, 1]);

@@ -67,7 +67,7 @@ fn main() -> Result<(), Error> {
         let (kind, lanes, units) = (
             target.kind().tag(),
             target.exec_width(),
-            target.parallel_units(),
+            target.desc().sm_count,
         );
         let result = tune_on(target)?;
         println!(
